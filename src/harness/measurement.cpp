@@ -70,7 +70,7 @@ RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
     std::uint8_t mask = 0;
     {
       PhaseTimer t(metrics, "phase.predicates");
-      mask = evaluate_all(a, leader, nullptr, trace, r);
+      mask = evaluate_all(a, leader, trace, r);
     }
     for (TimingModel m : kAllModels) {
       const int idx = model_index(m);

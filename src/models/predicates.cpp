@@ -1,6 +1,5 @@
 #include "models/predicates.hpp"
 
-#include <type_traits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -108,6 +107,20 @@ bool satisfies(TimingModel m, const LinkMatrix& a, ProcessId leader,
   return false;
 }
 
+std::uint8_t evaluate_all(const LinkMatrix& a, ProcessId leader,
+                          const CorrectMask* correct, TraceSink* sink,
+                          Round k) {
+  TM_CHECK(leader >= 0 && leader < a.n(), "leader out of range");
+  std::uint8_t mask = 0;
+  for (TimingModel m : kAllModels) {
+    if (satisfies(m, a, leader, correct)) {
+      mask |= static_cast<std::uint8_t>(1u << static_cast<int>(m));
+    }
+  }
+  trace_emit(sink, TraceEvent::predicates(k, mask));
+  return mask;
+}
+
 // ---------------------------------------------------------------------
 // Packed fast path. The sim/packed_eval.hpp kernels use their own bit
 // constants so sim/ does not depend on the TimingModel enum; pin the two
@@ -117,109 +130,15 @@ static_assert(kPackedLmBit == 1u << static_cast<int>(TimingModel::kLm));
 static_assert(kPackedWlmBit == 1u << static_cast<int>(TimingModel::kWlm));
 static_assert(kPackedAfmBit == 1u << static_cast<int>(TimingModel::kAfm));
 
-bool satisfies_es(const PackedLinkMatrix& a, const CorrectMask* correct) {
-  if (correct == nullptr) {
-    return (packed_evaluate_mask(a, 0) & kPackedEsBit) != 0;
-  }
-  return packed_satisfies_es(a, PackedCorrectMask(*correct, a.n()));
-}
-
-bool satisfies_lm(const PackedLinkMatrix& a, ProcessId leader,
-                  const CorrectMask* correct) {
+std::uint8_t evaluate_all(const PackedLinkMatrix& a, ProcessId leader,
+                          TraceSink* sink, Round k) {
   TM_CHECK(leader >= 0 && leader < a.n(), "leader out of range");
-  if (correct == nullptr) {
-    return (packed_evaluate_mask(a, leader) & kPackedLmBit) != 0;
-  }
-  return packed_satisfies_lm(a, leader, PackedCorrectMask(*correct, a.n()));
-}
-
-bool satisfies_wlm(const PackedLinkMatrix& a, ProcessId leader,
-                   const CorrectMask* correct) {
-  TM_CHECK(leader >= 0 && leader < a.n(), "leader out of range");
-  if (correct == nullptr) {
-    return (packed_evaluate_mask(a, leader) & kPackedWlmBit) != 0;
-  }
-  return packed_satisfies_wlm(a, leader, PackedCorrectMask(*correct, a.n()));
-}
-
-bool satisfies_afm(const PackedLinkMatrix& a, const CorrectMask* correct) {
-  if (correct == nullptr) {
-    return (packed_evaluate_mask(a, 0) & kPackedAfmBit) != 0;
-  }
-  return packed_satisfies_afm(a, PackedCorrectMask(*correct, a.n()));
-}
-
-bool satisfies(TimingModel m, const PackedLinkMatrix& a, ProcessId leader,
-               const CorrectMask* correct) {
-  switch (m) {
-    case TimingModel::kEs: return satisfies_es(a, correct);
-    case TimingModel::kLm: return satisfies_lm(a, leader, correct);
-    case TimingModel::kWlm: return satisfies_wlm(a, leader, correct);
-    case TimingModel::kAfm: return satisfies_afm(a, correct);
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------
-// One templated body behind each scalar/packed overload pair (the
-// granular variants below reuse the same shape, so four entry points
-// share two implementations instead of four diverging loops).
-
-namespace {
-
-template <class Matrix>
-std::uint8_t evaluate_mask(const Matrix& a, ProcessId leader,
-                           const CorrectMask* correct) {
-  if constexpr (std::is_same_v<Matrix, PackedLinkMatrix>) {
-    if (correct == nullptr) {
-      // One sweep computes all four models; scratch is per-thread so the
-      // hot failure-free path never allocates.
-      thread_local ColumnDeficits cols;
-      return packed_evaluate_mask(a, leader, cols);
-    }
-    // Crash path: build the packed aliveness mask once for all four.
-    const PackedCorrectMask cm(*correct, a.n());
-    std::uint8_t mask = 0;
-    if (packed_satisfies_es(a, cm)) mask |= kPackedEsBit;
-    if (cm.test(leader)) {
-      if (packed_satisfies_lm(a, leader, cm)) mask |= kPackedLmBit;
-      if (packed_satisfies_wlm(a, leader, cm)) mask |= kPackedWlmBit;
-    }
-    if (packed_satisfies_afm(a, cm)) mask |= kPackedAfmBit;
-    return mask;
-  } else {
-    std::uint8_t mask = 0;
-    for (TimingModel m : kAllModels) {
-      if (satisfies(m, a, leader, correct)) {
-        mask |= static_cast<std::uint8_t>(1u << static_cast<int>(m));
-      }
-    }
-    return mask;
-  }
-}
-
-template <class Matrix>
-std::uint8_t evaluate_all_impl(const Matrix& a, ProcessId leader,
-                               const CorrectMask* correct, TraceSink* sink,
-                               Round k) {
-  TM_CHECK(leader >= 0 && leader < a.n(), "leader out of range");
-  const std::uint8_t mask = evaluate_mask(a, leader, correct);
+  // One sweep computes all four models; scratch is per-thread so the hot
+  // path never allocates.
+  thread_local ColumnDeficits cols;
+  const std::uint8_t mask = packed_evaluate_mask(a, leader, cols);
   trace_emit(sink, TraceEvent::predicates(k, mask));
   return mask;
-}
-
-}  // namespace
-
-std::uint8_t evaluate_all(const LinkMatrix& a, ProcessId leader,
-                          const CorrectMask* correct, TraceSink* sink,
-                          Round k) {
-  return evaluate_all_impl(a, leader, correct, sink, k);
-}
-
-std::uint8_t evaluate_all(const PackedLinkMatrix& a, ProcessId leader,
-                          const CorrectMask* correct, TraceSink* sink,
-                          Round k) {
-  return evaluate_all_impl(a, leader, correct, sink, k);
 }
 
 // ---------------------------------------------------------------------
@@ -241,8 +160,7 @@ GranularContext::GranularContext(LinkModelMatrix matrix)
       planes_(matrix_.n(),
               [this](ProcessId dst, ProcessId src) {
                 return static_cast<int>(matrix_.at(dst, src));
-              }),
-      all_sync_(matrix_.all_sync()) {}
+              }) {}
 
 namespace {
 
@@ -345,60 +263,6 @@ std::uint8_t granular_class_conformance(const LinkMatrix& a,
   return csat;
 }
 
-template <class Matrix>
-GranularEval evaluate_granular_mask(const Matrix& a, ProcessId leader,
-                                    const GranularContext& g,
-                                    const CorrectMask* correct) {
-  GranularEval out;
-  if constexpr (std::is_same_v<Matrix, PackedLinkMatrix>) {
-    if (correct == nullptr) {
-      thread_local ColumnDeficits cols;
-      const GranularPackedEval e =
-          packed_evaluate_granular(a, leader, g.planes(), cols);
-      out.sat = e.sat;
-      out.csat = e.csat;
-      return out;
-    }
-    const PackedCorrectMask cm(*correct, a.n());
-    if (packed_granular_satisfies_es(a, g.planes(), cm)) {
-      out.sat |= kPackedEsBit;
-    }
-    if (cm.test(leader)) {
-      if (packed_granular_satisfies_lm(a, g.planes(), leader, cm)) {
-        out.sat |= kPackedLmBit;
-      }
-      if (packed_granular_satisfies_wlm(a, g.planes(), leader, cm)) {
-        out.sat |= kPackedWlmBit;
-      }
-    }
-    if (packed_granular_satisfies_afm(a, g.planes(), cm)) {
-      out.sat |= kPackedAfmBit;
-    }
-    out.csat = packed_granular_class_conformance(a, g.planes(), cm);
-    return out;
-  } else {
-    for (TimingModel m : kAllModels) {
-      if (satisfies_granular(m, a, leader, g, correct)) {
-        out.sat |= static_cast<std::uint8_t>(1u << static_cast<int>(m));
-      }
-    }
-    out.csat = granular_class_conformance(a, g, correct);
-    return out;
-  }
-}
-
-template <class Matrix>
-GranularEval evaluate_all_granular_impl(const Matrix& a, ProcessId leader,
-                                        const GranularContext& g,
-                                        const CorrectMask* correct,
-                                        TraceSink* sink, Round k) {
-  TM_CHECK(leader >= 0 && leader < a.n(), "leader out of range");
-  TM_CHECK(g.n() == a.n(), "link model matrix size mismatch");
-  const GranularEval e = evaluate_granular_mask(a, leader, g, correct);
-  trace_emit(sink, TraceEvent::granular_predicates(k, e.sat, e.csat));
-  return e;
-}
-
 }  // namespace
 
 bool satisfies_granular(TimingModel m, const LinkMatrix& a, ProcessId leader,
@@ -418,42 +282,32 @@ bool satisfies_granular(TimingModel m, const LinkMatrix& a, ProcessId leader,
   return false;
 }
 
-bool satisfies_granular(TimingModel m, const PackedLinkMatrix& a,
-                        ProcessId leader, const GranularContext& g,
-                        const CorrectMask* correct) {
-  TM_CHECK(g.n() == a.n(), "link model matrix size mismatch");
-  TM_CHECK(leader >= 0 && leader < a.n(), "leader out of range");
-  if (correct == nullptr) {
-    const GranularPackedEval e = packed_evaluate_granular(a, leader,
-                                                          g.planes());
-    return (e.sat & (1u << static_cast<int>(m))) != 0;
-  }
-  const PackedCorrectMask cm(*correct, a.n());
-  switch (m) {
-    case TimingModel::kEs:
-      return packed_granular_satisfies_es(a, g.planes(), cm);
-    case TimingModel::kLm:
-      return packed_granular_satisfies_lm(a, g.planes(), leader, cm);
-    case TimingModel::kWlm:
-      return packed_granular_satisfies_wlm(a, g.planes(), leader, cm);
-    case TimingModel::kAfm:
-      return packed_granular_satisfies_afm(a, g.planes(), cm);
-  }
-  return false;
-}
-
 GranularEval evaluate_all_granular(const LinkMatrix& a, ProcessId leader,
                                    const GranularContext& g,
                                    const CorrectMask* correct,
                                    TraceSink* sink, Round k) {
-  return evaluate_all_granular_impl(a, leader, g, correct, sink, k);
+  TM_CHECK(leader >= 0 && leader < a.n(), "leader out of range");
+  TM_CHECK(g.n() == a.n(), "link model matrix size mismatch");
+  GranularEval e;
+  for (TimingModel m : kAllModels) {
+    if (satisfies_granular(m, a, leader, g, correct)) {
+      e.sat |= static_cast<std::uint8_t>(1u << static_cast<int>(m));
+    }
+  }
+  e.csat = granular_class_conformance(a, g, correct);
+  trace_emit(sink, TraceEvent::granular_predicates(k, e.sat, e.csat));
+  return e;
 }
 
 GranularEval evaluate_all_granular(const PackedLinkMatrix& a,
                                    ProcessId leader, const GranularContext& g,
-                                   const CorrectMask* correct,
                                    TraceSink* sink, Round k) {
-  return evaluate_all_granular_impl(a, leader, g, correct, sink, k);
+  TM_CHECK(leader >= 0 && leader < a.n(), "leader out of range");
+  TM_CHECK(g.n() == a.n(), "link model matrix size mismatch");
+  thread_local ColumnDeficits cols;
+  const GranularEval e = packed_evaluate_granular(a, leader, g.planes(), cols);
+  trace_emit(sink, TraceEvent::granular_predicates(k, e.sat, e.csat));
+  return e;
 }
 
 }  // namespace timing

@@ -9,14 +9,17 @@
 //  * all processes are assumed correct unless a `correct` mask is given -
 //    the measurement sections run failure-free experiments, like the paper.
 //
-// Every predicate exists in two equivalent implementations:
-//  * the scalar path over LinkMatrix (the original per-cell loops) — kept
-//    as the oracle;
-//  * the packed path over PackedLinkMatrix (sim/packed_eval.hpp):
-//    popcounts and word compares over the uint64 bit plane.
-// tests/predicate_kernel_test.cpp asserts they agree bit-for-bit on
-// randomized matrices across the one-word/two-word row boundary and under
-// crash masks.
+// Two implementations:
+//  * the scalar path over LinkMatrix (the original per-cell loops) is the
+//    oracle and the only one that takes a crash mask: with one, every
+//    requirement and quorum count is restricted to correct processes;
+//  * the packed path over PackedLinkMatrix (sim/packed_eval.hpp) evaluates
+//    failure-free rounds only, all four models in one sweep of popcounts
+//    and word compares over the uint64 bit plane.
+// tests/predicate_kernel_test.cpp and tests/granular_test.cpp assert the
+// two agree bit-for-bit on randomized failure-free matrices across the
+// one-word/two-word row boundary, and that both are monotone in the
+// matrix (crash masks included on the scalar side).
 #pragma once
 
 #include <cstdint>
@@ -35,34 +38,24 @@ using CorrectMask = std::vector<bool>;
 
 /// ES: every link between correct processes is timely.
 bool satisfies_es(const LinkMatrix& a, const CorrectMask* correct = nullptr);
-bool satisfies_es(const PackedLinkMatrix& a,
-                  const CorrectMask* correct = nullptr);
 
 /// <>LM: the leader is an n-source this round (its column is all timely)
 /// and every correct process receives timely messages from at least
 /// floor(n/2)+1 correct processes (every row has a majority of ones).
 bool satisfies_lm(const LinkMatrix& a, ProcessId leader,
                   const CorrectMask* correct = nullptr);
-bool satisfies_lm(const PackedLinkMatrix& a, ProcessId leader,
-                  const CorrectMask* correct = nullptr);
 
 /// <>WLM: the leader is an n-source this round and receives timely
 /// messages from a majority (only the leader's row needs a majority).
 bool satisfies_wlm(const LinkMatrix& a, ProcessId leader,
                    const CorrectMask* correct = nullptr);
-bool satisfies_wlm(const PackedLinkMatrix& a, ProcessId leader,
-                   const CorrectMask* correct = nullptr);
 
 /// <>AFM (simplified): every correct process is a majority-destination and
 /// a majority-source this round.
 bool satisfies_afm(const LinkMatrix& a, const CorrectMask* correct = nullptr);
-bool satisfies_afm(const PackedLinkMatrix& a,
-                   const CorrectMask* correct = nullptr);
 
 /// Dispatch on the model. `leader` is ignored for ES and <>AFM.
 bool satisfies(TimingModel m, const LinkMatrix& a, ProcessId leader,
-               const CorrectMask* correct = nullptr);
-bool satisfies(TimingModel m, const PackedLinkMatrix& a, ProcessId leader,
                const CorrectMask* correct = nullptr);
 
 /// Evaluate all four predicates at once; bit static_cast<int>(m) of the
@@ -74,10 +67,10 @@ std::uint8_t evaluate_all(const LinkMatrix& a, ProcessId leader,
                           const CorrectMask* correct = nullptr,
                           TraceSink* sink = nullptr, Round k = 0);
 
-/// Packed fast path: one sweep over the bit plane (popcounts + word
-/// compares; see sim/packed_eval.hpp). Identical mask and trace event.
+/// Packed fast path for failure-free rounds: one sweep over the bit plane
+/// (popcounts + word compares; see sim/packed_eval.hpp). Same mask and
+/// trace event as the scalar path without a crash mask.
 std::uint8_t evaluate_all(const PackedLinkMatrix& a, ProcessId leader,
-                          const CorrectMask* correct = nullptr,
                           TraceSink* sink = nullptr, Round k = 0);
 
 // ---------------------------------------------------------------------
@@ -98,45 +91,31 @@ class GranularContext {
   int n() const noexcept { return matrix_.n(); }
   const LinkModelMatrix& matrix() const noexcept { return matrix_; }
   const GranularPlanes& planes() const noexcept { return planes_; }
-  /// All-sync matrices take the homogeneous fast path unchanged.
-  bool all_sync() const noexcept { return all_sync_; }
 
  private:
   LinkModelMatrix matrix_;
   GranularPlanes planes_;
-  bool all_sync_;
 };
 
-/// Result of one granular round evaluation. `sat` uses the canonical
-/// ES/LM/WLM/AFM bit order; `csat` bit c is set iff every class-c link
-/// (between correct processes) was timely this round — the per-class
-/// conformance trace_tool summary reports.
-struct GranularEval {
-  std::uint8_t sat = 0;
-  std::uint8_t csat = 0;
-};
-
-/// Single granular predicate, scalar and packed. `leader` is ignored for
-/// ES and <>AFM.
+/// Single granular predicate (scalar). `leader` is ignored for ES and
+/// <>AFM.
 bool satisfies_granular(TimingModel m, const LinkMatrix& a, ProcessId leader,
                         const GranularContext& g,
                         const CorrectMask* correct = nullptr);
-bool satisfies_granular(TimingModel m, const PackedLinkMatrix& a,
-                        ProcessId leader, const GranularContext& g,
-                        const CorrectMask* correct = nullptr);
 
-/// Evaluate all four granular predicates plus per-class conformance.
-/// When `sink` is non-null, one PredicateEval event with the csat field
-/// is emitted for round `k`.
+/// Evaluate all four granular predicates plus per-class conformance
+/// (GranularEval, sim/packed_eval.hpp; under a crash mask csat covers the
+/// links between correct processes). When `sink` is non-null, one
+/// PredicateEval event with the csat field is emitted for round `k`.
 GranularEval evaluate_all_granular(const LinkMatrix& a, ProcessId leader,
                                    const GranularContext& g,
                                    const CorrectMask* correct = nullptr,
                                    TraceSink* sink = nullptr, Round k = 0);
 
-/// Packed fast path: one sweep (sim/packed_eval.hpp). Identical result.
+/// Packed fast path for failure-free rounds: one sweep
+/// (sim/packed_eval.hpp). Same result as the scalar path without a mask.
 GranularEval evaluate_all_granular(const PackedLinkMatrix& a,
                                    ProcessId leader, const GranularContext& g,
-                                   const CorrectMask* correct = nullptr,
                                    TraceSink* sink = nullptr, Round k = 0);
 
 }  // namespace timing

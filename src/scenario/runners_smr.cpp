@@ -266,10 +266,19 @@ int run_smr_throughput(const ScenarioSpec& spec, const RunContext& ctx) {
             rlog.tick();
             handle_committed();
           }
-          // Drain: everything submitted resolves within the attempt
-          // budget; generous virtual-tick ceiling for the fault cases.
-          const int drain_cap = 200 * spec.rounds_per_run + 10000;
-          for (int tick = 0; tick < drain_cap && !rlog.drained(); ++tick) {
+          // Drain. The open batch seals within flush_ticks; after that
+          // each unresolved slot commits or is abandoned within its
+          // attempt budget of its predecessor (slots resolve in order),
+          // so this cap is reached only if the log wedges.
+          const long long unresolved = rlog.slots_started() -
+                                       rlog.slots_committed() -
+                                       rlog.slots_abandoned();
+          const long long drain_cap =
+              lcfg.flush_ticks +
+              unresolved * lcfg.max_attempts_per_slot *
+                  lcfg.max_rounds_per_instance;
+          for (long long tick = 0; tick < drain_cap && !rlog.drained();
+               ++tick) {
             rlog.tick();
             handle_committed();
           }

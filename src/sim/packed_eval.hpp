@@ -11,6 +11,12 @@
 // complement), so in the common high-p case the whole evaluation touches
 // ~n/64 words per row and a handful of stray zero bits.
 //
+// The kernels evaluate failure-free rounds only, the rounds the paper's
+// measurements (and every Monte-Carlo path here) sample. The "between
+// correct processes" form under a crash mask is scalar-only: the
+// LinkMatrix predicates of models/predicates.hpp are its one
+// implementation.
+//
 // This header lives in sim/ so the fused sample-and-evaluate kernel of
 // sampler.cpp can use it; models/predicates.cpp wraps it behind the
 // TimingModel enum (and static_asserts the bit order matches). The mask
@@ -33,8 +39,8 @@ inline constexpr std::uint8_t kPackedWlmBit = 1u << 2;
 inline constexpr std::uint8_t kPackedAfmBit = 1u << 3;
 
 /// Scratch for the column (source) counts of the <>AFM predicate. Reused
-/// across rounds so the hot path never allocates; resize() is a no-op
-/// after the first round of a trial.
+/// across rounds so the hot path never allocates: reset() reuses the
+/// capacity of the first round of a trial.
 class ColumnDeficits {
  public:
   void reset(int n) {
@@ -97,122 +103,6 @@ inline std::uint8_t packed_evaluate_mask(const PackedLinkMatrix& a,
   if (leader_col && leader_row_cnt >= maj) mask |= kPackedWlmBit;
   if (rows_ok && cols_ok) mask |= kPackedAfmBit;
   return mask;
-}
-
-/// Convenience overload with its own scratch (cold paths and tests).
-inline std::uint8_t packed_evaluate_mask(const PackedLinkMatrix& a,
-                                         ProcessId leader) {
-  ColumnDeficits cols;
-  return packed_evaluate_mask(a, leader, cols);
-}
-
-// ---------------------------------------------------------------------
-// Crash-mask variants. `correct` is the std::vector<bool> aliveness mask
-// of models/predicates.hpp (null means everyone correct); the kernels
-// first pack it into uint64 words, then reuse the same word arithmetic.
-
-/// Packed aliveness mask; word layout matches PackedLinkMatrix rows.
-class PackedCorrectMask {
- public:
-  PackedCorrectMask(const std::vector<bool>& correct, int n)
-      : words_(static_cast<std::size_t>((n + 63) / 64), 0), alive_(0) {
-    for (int i = 0; i < n; ++i) {
-      if (correct[static_cast<std::size_t>(i)]) {
-        words_[static_cast<std::size_t>(i / 64)] |=
-            1ULL << (static_cast<unsigned>(i) % 64);
-        ++alive_;
-      }
-    }
-  }
-  const std::uint64_t* words() const noexcept { return words_.data(); }
-  int alive() const noexcept { return alive_; }
-  bool test(int i) const noexcept {
-    return (words_[static_cast<std::size_t>(i / 64)] >>
-            (static_cast<unsigned>(i) % 64)) &
-           1u;
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
-  int alive_;
-};
-
-inline bool packed_satisfies_es(const PackedLinkMatrix& a,
-                                const PackedCorrectMask& cm) {
-  const int n = a.n();
-  const int words = a.words_per_row();
-  for (ProcessId dst = 0; dst < n; ++dst) {
-    if (!cm.test(dst)) continue;
-    const std::uint64_t* row = a.row_words(dst);
-    for (int w = 0; w < words; ++w) {
-      if ((cm.words()[w] & ~row[w]) != 0) return false;
-    }
-  }
-  return true;
-}
-
-/// Timely links into `dst` from correct sources, incl. self if correct.
-inline int packed_timely_in_from_correct(const PackedLinkMatrix& a,
-                                         ProcessId dst,
-                                         const PackedCorrectMask& cm) {
-  const std::uint64_t* row = a.row_words(dst);
-  int c = 0;
-  for (int w = 0; w < a.words_per_row(); ++w) {
-    c += std::popcount(row[w] & cm.words()[w]);
-  }
-  return c;
-}
-
-inline bool packed_leader_column_ok(const PackedLinkMatrix& a,
-                                    ProcessId leader,
-                                    const PackedCorrectMask& cm) {
-  const int lw = leader / PackedLinkMatrix::kWordBits;
-  const std::uint64_t lbit =
-      1ULL << (static_cast<unsigned>(leader) % PackedLinkMatrix::kWordBits);
-  for (ProcessId d = 0; d < a.n(); ++d) {
-    if (cm.test(d) && (a.row_words(d)[lw] & lbit) == 0) return false;
-  }
-  return true;
-}
-
-inline bool packed_satisfies_lm(const PackedLinkMatrix& a, ProcessId leader,
-                                const PackedCorrectMask& cm) {
-  if (!cm.test(leader)) return false;
-  if (!packed_leader_column_ok(a, leader, cm)) return false;
-  const int maj = majority_size(a.n());
-  for (ProcessId d = 0; d < a.n(); ++d) {
-    if (!cm.test(d)) continue;
-    if (packed_timely_in_from_correct(a, d, cm) < maj) return false;
-  }
-  return true;
-}
-
-inline bool packed_satisfies_wlm(const PackedLinkMatrix& a, ProcessId leader,
-                                 const PackedCorrectMask& cm) {
-  if (!cm.test(leader)) return false;
-  if (!packed_leader_column_ok(a, leader, cm)) return false;
-  return packed_timely_in_from_correct(a, leader, cm) >=
-         majority_size(a.n());
-}
-
-inline bool packed_satisfies_afm(const PackedLinkMatrix& a,
-                                 const PackedCorrectMask& cm) {
-  const int n = a.n();
-  const int maj = majority_size(n);
-  for (ProcessId i = 0; i < n; ++i) {
-    if (!cm.test(i)) continue;
-    if (packed_timely_in_from_correct(a, i, cm) < maj) return false;
-    // Majority-source over correct recipients (self is correct here).
-    const int iw = i / PackedLinkMatrix::kWordBits;
-    const std::uint64_t ibit =
-        1ULL << (static_cast<unsigned>(i) % PackedLinkMatrix::kWordBits);
-    int c = 0;
-    for (ProcessId d = 0; d < n; ++d) {
-      if (cm.test(d) && (a.row_words(d)[iw] & ibit) != 0) ++c;
-    }
-    if (c < maj) return false;
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------
@@ -289,11 +179,6 @@ class GranularPlanes {
   int require_col(ProcessId src) const noexcept {
     return require_col_[static_cast<std::size_t>(src)];
   }
-  bool require(ProcessId dst, ProcessId src) const noexcept {
-    return (require_row(dst)[src / PackedLinkMatrix::kWordBits] >>
-            (static_cast<unsigned>(src) % PackedLinkMatrix::kWordBits)) &
-           1u;
-  }
 
  private:
   int n_ = 0;
@@ -305,18 +190,19 @@ class GranularPlanes {
 
 /// Result of one granular evaluation: `sat` uses the canonical
 /// ES/LM/WLM/AFM bit order, `csat` has bit c set iff every class-c link
-/// (between correct processes) was timely this round.
-struct GranularPackedEval {
+/// was timely this round (the per-class conformance trace_tool summary
+/// reports).
+struct GranularEval {
   std::uint8_t sat = 0;
   std::uint8_t csat = 0;
 };
 
 /// All four granular predicates plus per-class conformance of one
 /// failure-free round in a single sweep over the bit plane.
-inline GranularPackedEval packed_evaluate_granular(const PackedLinkMatrix& a,
-                                                   ProcessId leader,
-                                                   const GranularPlanes& g,
-                                                   ColumnDeficits& cols) {
+inline GranularEval packed_evaluate_granular(const PackedLinkMatrix& a,
+                                             ProcessId leader,
+                                             const GranularPlanes& g,
+                                             ColumnDeficits& cols) {
   const int n = a.n();
   const int words = a.words_per_row();
   const int maj = majority_size(n);
@@ -360,7 +246,7 @@ inline GranularPackedEval packed_evaluate_granular(const PackedLinkMatrix& a,
     cols_ok &= g.require_col(src) - cols.at(src) >= maj;
   }
 
-  GranularPackedEval out;
+  GranularEval out;
   if (es) out.sat |= kPackedEsBit;
   if (leader_col && rows_ok) out.sat |= kPackedLmBit;
   if (leader_col && leader_row_cnt >= maj) out.sat |= kPackedWlmBit;
@@ -369,130 +255,6 @@ inline GranularPackedEval packed_evaluate_granular(const PackedLinkMatrix& a,
     if (class_ok[c]) out.csat |= static_cast<std::uint8_t>(1u << c);
   }
   return out;
-}
-
-/// Convenience overload with its own scratch (cold paths and tests).
-inline GranularPackedEval packed_evaluate_granular(const PackedLinkMatrix& a,
-                                                   ProcessId leader,
-                                                   const GranularPlanes& g) {
-  ColumnDeficits cols;
-  return packed_evaluate_granular(a, leader, g, cols);
-}
-
-// Granular crash-mask variants (cold path: the chaos gate). Requirements
-// and quorum counts intersect the required plane with the aliveness mask.
-
-inline bool packed_granular_satisfies_es(const PackedLinkMatrix& a,
-                                         const GranularPlanes& g,
-                                         const PackedCorrectMask& cm) {
-  for (ProcessId dst = 0; dst < a.n(); ++dst) {
-    if (!cm.test(dst)) continue;
-    const std::uint64_t* row = a.row_words(dst);
-    const std::uint64_t* req = g.require_row(dst);
-    for (int w = 0; w < a.words_per_row(); ++w) {
-      if ((req[w] & cm.words()[w] & ~row[w]) != 0) return false;
-    }
-  }
-  return true;
-}
-
-/// Required-and-timely links into `dst` from correct sources.
-inline int packed_granular_timely_in(const PackedLinkMatrix& a,
-                                     const GranularPlanes& g, ProcessId dst,
-                                     const PackedCorrectMask& cm) {
-  const std::uint64_t* row = a.row_words(dst);
-  const std::uint64_t* req = g.require_row(dst);
-  int c = 0;
-  for (int w = 0; w < a.words_per_row(); ++w) {
-    c += std::popcount(row[w] & req[w] & cm.words()[w]);
-  }
-  return c;
-}
-
-inline bool packed_granular_leader_column_ok(const PackedLinkMatrix& a,
-                                             const GranularPlanes& g,
-                                             ProcessId leader,
-                                             const PackedCorrectMask& cm) {
-  const int lw = leader / PackedLinkMatrix::kWordBits;
-  const std::uint64_t lbit =
-      1ULL << (static_cast<unsigned>(leader) % PackedLinkMatrix::kWordBits);
-  for (ProcessId d = 0; d < a.n(); ++d) {
-    if (!cm.test(d)) continue;
-    if ((g.require_row(d)[lw] & lbit & ~a.row_words(d)[lw]) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-inline bool packed_granular_satisfies_lm(const PackedLinkMatrix& a,
-                                         const GranularPlanes& g,
-                                         ProcessId leader,
-                                         const PackedCorrectMask& cm) {
-  if (!cm.test(leader)) return false;
-  if (!packed_granular_leader_column_ok(a, g, leader, cm)) return false;
-  const int maj = majority_size(a.n());
-  for (ProcessId d = 0; d < a.n(); ++d) {
-    if (!cm.test(d)) continue;
-    if (packed_granular_timely_in(a, g, d, cm) < maj) return false;
-  }
-  return true;
-}
-
-inline bool packed_granular_satisfies_wlm(const PackedLinkMatrix& a,
-                                          const GranularPlanes& g,
-                                          ProcessId leader,
-                                          const PackedCorrectMask& cm) {
-  if (!cm.test(leader)) return false;
-  if (!packed_granular_leader_column_ok(a, g, leader, cm)) return false;
-  return packed_granular_timely_in(a, g, leader, cm) >=
-         majority_size(a.n());
-}
-
-inline bool packed_granular_satisfies_afm(const PackedLinkMatrix& a,
-                                          const GranularPlanes& g,
-                                          const PackedCorrectMask& cm) {
-  const int n = a.n();
-  const int maj = majority_size(n);
-  for (ProcessId i = 0; i < n; ++i) {
-    if (!cm.test(i)) continue;
-    if (packed_granular_timely_in(a, g, i, cm) < maj) return false;
-    const int iw = i / PackedLinkMatrix::kWordBits;
-    const std::uint64_t ibit =
-        1ULL << (static_cast<unsigned>(i) % PackedLinkMatrix::kWordBits);
-    int c = 0;
-    for (ProcessId d = 0; d < n; ++d) {
-      if (cm.test(d) && g.require(d, i) &&
-          (a.row_words(d)[iw] & ibit) != 0) {
-        ++c;
-      }
-    }
-    if (c < maj) return false;
-  }
-  return true;
-}
-
-/// Per-class conformance under a crash mask: bit c set iff every class-c
-/// link between correct processes was timely.
-inline std::uint8_t packed_granular_class_conformance(
-    const PackedLinkMatrix& a, const GranularPlanes& g,
-    const PackedCorrectMask& cm) {
-  bool class_ok[GranularPlanes::kNumClasses] = {true, true, true};
-  for (ProcessId dst = 0; dst < a.n(); ++dst) {
-    if (!cm.test(dst)) continue;
-    const std::uint64_t* row = a.row_words(dst);
-    for (int w = 0; w < a.words_per_row(); ++w) {
-      for (int c = 0; c < GranularPlanes::kNumClasses; ++c) {
-        class_ok[c] &=
-            (g.class_row(c, dst)[w] & cm.words()[w] & ~row[w]) == 0;
-      }
-    }
-  }
-  std::uint8_t csat = 0;
-  for (int c = 0; c < GranularPlanes::kNumClasses; ++c) {
-    if (class_ok[c]) csat |= static_cast<std::uint8_t>(1u << c);
-  }
-  return csat;
 }
 
 }  // namespace timing

@@ -10,6 +10,7 @@
 // The contract asserted by the design (docs/OBSERVABILITY.md): the null
 // sink adds < 2% to the untraced baseline — tracing off is free. Also
 // reports the JSONL writer's throughput in events/sec.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -153,10 +154,16 @@ int main() {
   // bookkeeping per event), one of which adds the guarded emission on a
   // pointer that is null at runtime but not provably null at compile
   // time. Scale the per-iteration delta back to the full run's events.
+  //
+  // The delta is the median of paired samples: each pair times both
+  // loops back to back, alternating which runs first, so drift and
+  // scheduler noise hit both sides of a pair alike (a difference of two
+  // separate best-of times let one disturbed side swing the result).
   TraceSink* null_sink = std::getenv("TIMING_BENCH_FORCE_SINK") != nullptr
                              ? static_cast<TraceSink*>(&sink)
                              : nullptr;
-  constexpr int kIters = 2'000'000;
+  constexpr int kIters = 500'000;
+  constexpr int kPairs = 31;
   std::uint64_t xa = 0x9e3779b97f4a7c15ull;
   std::uint64_t xb = 0x9e3779b97f4a7c15ull;
   const auto work = [](std::uint64_t& x) {
@@ -169,31 +176,48 @@ int main() {
     }
     return x;
   };
-  const std::vector<double> micro = interleaved_best_ms({
-      [&] {
-        for (int i = 0; i < kIters; ++i) {
-          const std::uint64_t w = work(xa);
-          checksum += static_cast<long long>(w >> 60);
-        }
-      },
-      [&] {
-        for (int i = 0; i < kIters; ++i) {
-          const std::uint64_t w = work(xb);
-          trace_emit(null_sink,
-                     TraceEvent::msg(EventKind::kMsgSent, 1, 0,
-                                     static_cast<ProcessId>(w & 7u)));
-          checksum += static_cast<long long>(w >> 60);
-        }
-      },
-  });
-  const double delta_ns = (micro[1] - micro[0]) * 1e6 / kIters;
+  const auto plain = [&] {
+    for (int i = 0; i < kIters; ++i) {
+      const std::uint64_t w = work(xa);
+      checksum += static_cast<long long>(w >> 60);
+    }
+  };
+  const auto guarded = [&] {
+    for (int i = 0; i < kIters; ++i) {
+      const std::uint64_t w = work(xb);
+      trace_emit(null_sink, [&] {
+        return TraceEvent::msg(
+            EventKind::kMsgSent, 1, 0, static_cast<ProcessId>(w & 7u));
+      });
+      checksum += static_cast<long long>(w >> 60);
+    }
+  };
+  plain();
+  guarded();
+  std::vector<double> deltas_ns;  // guarded - plain, per iteration
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double plain_ms = 0.0;
+    double guarded_ms = 0.0;
+    if (pair % 2 == 0) {
+      plain_ms = once_ms(plain);
+      guarded_ms = once_ms(guarded);
+    } else {
+      guarded_ms = once_ms(guarded);
+      plain_ms = once_ms(plain);
+    }
+    deltas_ns.push_back((guarded_ms - plain_ms) * 1e6 / kIters);
+  }
+  std::nth_element(deltas_ns.begin(), deltas_ns.begin() + kPairs / 2,
+                   deltas_ns.end());
+  const double delta_ns = deltas_ns[kPairs / 2];
   const double per_event_ns =
       off_ms * 1e6 / static_cast<double>(events ? events : 1);
   const double null_pct =
       delta_ns > 0.0 ? 100.0 * delta_ns / per_event_ns : 0.0;
   std::printf(
-      "emission site: %.3f ns/event on top of %.2f ns/event baseline\n",
-      delta_ns > 0.0 ? delta_ns : 0.0, per_event_ns);
+      "emission site: %.3f ns/event (median of %d pairs) on top of %.2f "
+      "ns/event baseline\n",
+      delta_ns > 0.0 ? delta_ns : 0.0, kPairs, per_event_ns);
   std::printf(
       "null-sink overhead: %.2f%% (branch cost scaled to %zu events; "
       "budget %.0f%%) -> %s   [checksum %lld]\n",

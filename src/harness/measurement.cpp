@@ -30,7 +30,7 @@ RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
   // predicate phases both run on the bit plane.
   PackedLinkMatrix a(n);
   for (int r = 1; r <= rounds; ++r) {
-    trace_emit(trace, TraceEvent::round_start(r));
+    trace_emit(trace, [&] { return TraceEvent::round_start(r); });
     {
       PhaseTimer t(metrics, "phase.sample");
       sampler.sample_round(r, a);
@@ -48,14 +48,19 @@ RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
           const Delay fate = a.at(d, s);
           if (fate == 0) {
             ++out.messages_timely;
-            trace_emit(trace, TraceEvent::msg(EventKind::kMsgTimely, r, s, d));
+            trace_emit(trace, [&] {
+              return TraceEvent::msg(EventKind::kMsgTimely, r, s, d);
+            });
           } else if (fate == kLost) {
             ++out.messages_lost;
-            trace_emit(trace, TraceEvent::msg(EventKind::kMsgLost, r, s, d));
+            trace_emit(trace, [&] {
+              return TraceEvent::msg(EventKind::kMsgLost, r, s, d);
+            });
           } else {
             ++out.messages_late;
-            trace_emit(trace,
-                       TraceEvent::msg(EventKind::kMsgLate, r, s, d, fate));
+            trace_emit(trace, [&] {
+              return TraceEvent::msg(EventKind::kMsgLate, r, s, d, fate);
+            });
           }
         }
       }
@@ -77,7 +82,7 @@ RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
       out.sat[static_cast<std::size_t>(idx)].push_back(
           (mask & (1u << idx)) ? 1 : 0);
     }
-    trace_emit(trace, TraceEvent::round_end(r));
+    trace_emit(trace, [&] { return TraceEvent::round_end(r); });
   }
   if (metrics != nullptr) {
     metrics->inc("rounds", rounds);

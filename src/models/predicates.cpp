@@ -117,7 +117,7 @@ std::uint8_t evaluate_all(const LinkMatrix& a, ProcessId leader,
       mask |= static_cast<std::uint8_t>(1u << static_cast<int>(m));
     }
   }
-  trace_emit(sink, TraceEvent::predicates(k, mask));
+  trace_emit(sink, [&] { return TraceEvent::predicates(k, mask); });
   return mask;
 }
 
@@ -137,7 +137,7 @@ std::uint8_t evaluate_all(const PackedLinkMatrix& a, ProcessId leader,
   // path never allocates.
   thread_local ColumnDeficits cols;
   const std::uint8_t mask = packed_evaluate_mask(a, leader, cols);
-  trace_emit(sink, TraceEvent::predicates(k, mask));
+  trace_emit(sink, [&] { return TraceEvent::predicates(k, mask); });
   return mask;
 }
 
@@ -295,7 +295,9 @@ GranularEval evaluate_all_granular(const LinkMatrix& a, ProcessId leader,
     }
   }
   e.csat = granular_class_conformance(a, g, correct);
-  trace_emit(sink, TraceEvent::granular_predicates(k, e.sat, e.csat));
+  trace_emit(sink, [&] {
+    return TraceEvent::granular_predicates(k, e.sat, e.csat);
+  });
   return e;
 }
 
@@ -306,7 +308,9 @@ GranularEval evaluate_all_granular(const PackedLinkMatrix& a,
   TM_CHECK(g.n() == a.n(), "link model matrix size mismatch");
   thread_local ColumnDeficits cols;
   const GranularEval e = packed_evaluate_granular(a, leader, g.planes(), cols);
-  trace_emit(sink, TraceEvent::granular_predicates(k, e.sat, e.csat));
+  trace_emit(sink, [&] {
+    return TraceEvent::granular_predicates(k, e.sat, e.csat);
+  });
   return e;
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/granular.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "harness/measurement.hpp"
 #include "scenario/runners.hpp"
@@ -85,29 +86,42 @@ int run_granular_ablation(const ScenarioSpec& spec, const RunContext& ctx) {
      << " rounds per point; psync share of non-async links = "
      << Table::num(spec.psync_frac, 2) << "\n\n";
 
+  // One seeded matrix per sweep point; the link streams below reuse the
+  // same run sub-streams across points (paired design).
+  std::vector<GranularContext> points;
+  points.reserve(spec.async_fracs.size());
+  for (std::size_t fi = 0; fi < spec.async_fracs.size(); ++fi) {
+    points.emplace_back(LinkModelMatrix::mixed(
+        n, spec.async_fracs[fi], spec.psync_frac,
+        substream_seed(spec.seed, static_cast<std::uint64_t>(fi))));
+  }
+
+  // Fan every (point, run) cell out as an independent trial; a cell's
+  // streams depend only on (seed, run), never on the executing thread.
+  const auto runs = static_cast<std::size_t>(spec.runs);
+  const auto cells = run_trials<GranularStreamedRun>(
+      points.size() * runs, [&](std::size_t cell) {
+        const std::uint64_t run = cell % runs;
+        IidTimelinessSampler sampler(
+            n, p, substream_seed(spec.seed ^ 0x11d5eedULL, run));
+        Rng start_rng = substream(spec.seed ^ 0xabcdef, run);
+        return measure_run_streaming_granular(
+            sampler, spec.rounds_per_run, leader, spec.decision_rounds,
+            spec.start_points, start_rng, points[cell / runs]);
+      });
+
   Table t({"async_frac", "async", "psync", "P_ES", "pred", "P_LM", "pred",
            "P_WLM", "pred", "P_AFM", "pred", "C_sync", "pred"});
-  for (std::size_t fi = 0; fi < spec.async_fracs.size(); ++fi) {
+  for (std::size_t fi = 0; fi < points.size(); ++fi) {
     const double frac = spec.async_fracs[fi];
-    // One seeded matrix per sweep point; the link streams below reuse the
-    // same run sub-streams across points (paired design).
-    const LinkModelMatrix m = LinkModelMatrix::mixed(
-        n, frac, spec.psync_frac,
-        substream_seed(spec.seed, static_cast<std::uint64_t>(fi)));
-    const GranularContext g{m};
+    const LinkModelMatrix& m = points[fi].matrix();
 
+    // Fold in run order so the sums are bit-identical at every thread
+    // count.
     std::array<double, kNumModels> pm{};
     double c_sync = 0.0;
-    for (int run = 0; run < spec.runs; ++run) {
-      IidTimelinessSampler sampler(
-          n, p,
-          substream_seed(spec.seed ^ 0x11d5eedULL,
-                         static_cast<std::uint64_t>(run)));
-      Rng start_rng =
-          substream(spec.seed ^ 0xabcdef, static_cast<std::uint64_t>(run));
-      const GranularStreamedRun r = measure_run_streaming_granular(
-          sampler, spec.rounds_per_run, leader, spec.decision_rounds,
-          spec.start_points, start_rng, g);
+    for (std::size_t run = 0; run < runs; ++run) {
+      const GranularStreamedRun& r = cells[fi * runs + run];
       for (int idx = 0; idx < kNumModels; ++idx) {
         pm[static_cast<std::size_t>(idx)] +=
             r.base.pm[static_cast<std::size_t>(idx)];

@@ -1,5 +1,6 @@
 #include "sim/sampler.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -210,74 +211,119 @@ FusedRoundEval LatencyTimelinessSampler::sample_round_and_evaluate(
 IidTimelinessSampler::IidTimelinessSampler(int n, double p,
                                            std::uint64_t seed,
                                            double loss_share)
-    : n_(n), p_(p), loss_share_(loss_share), rng_(seed) {
+    : n_(n), rng_(seed) {
   TM_CHECK(n > 1, "IID sampler needs n > 1");
   TM_CHECK(p >= 0.0 && p <= 1.0, "p must be a probability");
+  TM_CHECK(loss_share >= 0.0 && loss_share <= 1.0,
+           "loss_share must be a probability");
+  timely_ = BernoulliThreshold(p);
+  lost_ = BernoulliThreshold(loss_share);
 }
 
-Delay IidTimelinessSampler::untimely_fate() {
-  if (rng_.bernoulli(loss_share_)) return kLost;
-  Delay d = 1;
-  while (rng_.bernoulli(0.4) && d < 16) ++d;
-  return d;
-}
+namespace {
+
+/// Each further round of lateness is drawn with probability 0.4.
+constexpr BernoulliThreshold kOneMoreRound{0.4};
+
+/// One round's IID draw state, copied out of the sampler into a local so
+/// that the matrix stores cannot alias it (see sampler.hpp) and it stays
+/// in registers; the entry points write `rng` back.
+struct IidDraws {
+  Rng rng;
+  BernoulliThreshold timely;
+  BernoulliThreshold lost;
+
+  bool timely_draw() noexcept { return rng.bernoulli(timely); }
+
+  /// Late-or-lost fate, shared by all three entry points (keeps the RNG
+  /// consumption identical across them).
+  Delay untimely_fate() noexcept {
+    if (rng.bernoulli(lost)) return kLost;
+    Delay d = 1;
+    while (rng.bernoulli(kOneMoreRound) && d < 16) ++d;
+    return d;
+  }
+};
+
+}  // namespace
 
 void IidTimelinessSampler::sample_round(Round, LinkMatrix& out) {
+  IidDraws dr{rng_, timely_, lost_};
   for (ProcessId dst = 0; dst < n_; ++dst) {
     for (ProcessId src = 0; src < n_; ++src) {
       if (src == dst) {
         out.set(dst, src, 0);
         continue;
       }
-      out.set(dst, src, rng_.bernoulli(p_) ? 0 : untimely_fate());
+      out.set(dst, src, dr.timely_draw() ? 0 : dr.untimely_fate());
     }
   }
+  rng_ = dr.rng;
 }
 
 void IidTimelinessSampler::sample_round(Round, PackedLinkMatrix& out) {
+  IidDraws dr{rng_, timely_, lost_};
+  constexpr int kBits = PackedLinkMatrix::kWordBits;
   for (ProcessId dst = 0; dst < n_; ++dst) {
     std::uint64_t* row = out.mutable_row_words(dst);
-    for (int w = 0; w < out.words_per_row(); ++w) row[w] = 0;
-    for (ProcessId src = 0; src < n_; ++src) {
-      if (src == dst || rng_.bernoulli(p_)) {
-        out.set_timely(dst, src);
-      } else {
-        out.store_untimely(dst, src, untimely_fate());
+    // Assemble each row word in a register and store it once.
+    for (int w = 0; w < out.words_per_row(); ++w) {
+      const ProcessId base = w * kBits;
+      const int bits = std::min(kBits, n_ - base);
+      std::uint64_t word = 0;
+      for (int b = 0; b < bits; ++b) {
+        const ProcessId src = base + b;
+        if (src == dst || dr.timely_draw()) {
+          word |= 1ULL << b;
+        } else {
+          out.store_untimely(dst, src, dr.untimely_fate());
+        }
       }
+      row[w] = word;
     }
   }
+  rng_ = dr.rng;
 }
 
 FusedRoundEval IidTimelinessSampler::sample_round_and_evaluate(
     Round, ProcessId leader, PackedLinkMatrix& out, ColumnDeficits& cols) {
+  IidDraws dr{rng_, timely_, lost_};
+  constexpr int kBits = PackedLinkMatrix::kWordBits;
   FusedRoundEval eval;
   MaskAccum acc;
   acc.begin(n_, leader, cols);
   for (ProcessId dst = 0; dst < n_; ++dst) {
     std::uint64_t* row = out.mutable_row_words(dst);
-    for (int w = 0; w < out.words_per_row(); ++w) row[w] = 0;
     acc.begin_row();
-    for (ProcessId src = 0; src < n_; ++src) {
-      if (src == dst) {
-        out.set_timely(dst, src);
-        acc.cell_timely(src);
-      } else if (rng_.bernoulli(p_)) {
-        out.set_timely(dst, src);
-        acc.cell_timely(src);
-        ++eval.timely;
-      } else {
-        const Delay d = untimely_fate();
-        out.store_untimely(dst, src, d);
-        acc.cell_untimely(src);
-        if (d == kLost) {
-          ++eval.lost;
+    for (int w = 0; w < out.words_per_row(); ++w) {
+      const ProcessId base = w * kBits;
+      const int bits = std::min(kBits, n_ - base);
+      std::uint64_t word = 0;
+      for (int b = 0; b < bits; ++b) {
+        const ProcessId src = base + b;
+        if (src == dst) {
+          word |= 1ULL << b;
+          acc.cell_timely(src);
+        } else if (dr.timely_draw()) {
+          word |= 1ULL << b;
+          acc.cell_timely(src);
+          ++eval.timely;
         } else {
-          ++eval.late;
+          const Delay d = dr.untimely_fate();
+          out.store_untimely(dst, src, d);
+          acc.cell_untimely(src);
+          if (d == kLost) {
+            ++eval.lost;
+          } else {
+            ++eval.late;
+          }
         }
       }
+      row[w] = word;
     }
     acc.end_row(dst);
   }
+  rng_ = dr.rng;
   eval.mask = acc.finish();
   return eval;
 }

@@ -101,8 +101,20 @@ class LatencyTimelinessSampler final : public TimelinessSampler {
 /// Direct Bernoulli sampler: entry timely with probability p, otherwise
 /// late by a geometric number of rounds or lost. This is the Section 4
 /// IID world without the latency detour.
+///
+/// The probabilities are held as BernoulliThresholds (common/rng.hpp):
+/// each draw is an integer compare that decides exactly as
+/// `uniform() < p` does, so the matrices are the ones the floating-point
+/// form drew. Each entry point copies the generator into a local for the
+/// round and writes it back at the end; the packed entry points build
+/// every 64-bit row word in a register and store it once. The threshold
+/// pays off only with the local copy: the matrix stores are uint64_t and
+/// may alias a member generator's uint64_t state, which would otherwise
+/// be reloaded and stored around every cell.
 class IidTimelinessSampler final : public TimelinessSampler {
  public:
+  /// `p` is the timely probability and `loss_share` the fraction of
+  /// untimely messages that are lost; both must lie in [0, 1].
   IidTimelinessSampler(int n, double p, std::uint64_t seed,
                        double loss_share = 0.25);
 
@@ -113,15 +125,15 @@ class IidTimelinessSampler final : public TimelinessSampler {
                                            PackedLinkMatrix& out,
                                            ColumnDeficits& cols) override;
 
- private:
-  /// Late-or-lost fate draw shared by all three entry points (keeps the
-  /// RNG consumption identical across them).
-  Delay untimely_fate();
+  /// The generator as the next round will start it (tests pin the RNG
+  /// consumption of the entry points with it).
+  const Rng& rng() const noexcept { return rng_; }
 
+ private:
   int n_;
-  double p_;
-  double loss_share_;
   Rng rng_;
+  BernoulliThreshold timely_;
+  BernoulliThreshold lost_;
 };
 
 }  // namespace timing

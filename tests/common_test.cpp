@@ -80,6 +80,57 @@ TEST(Rng, BernoulliMean) {
   EXPECT_NEAR(static_cast<double>(hits) / trials, 0.3, 0.01);
 }
 
+TEST(Rng, ThresholdBernoulliMatchesUniformCompare) {
+  // Twin generators: one decides with uniform() < p, the other with the
+  // integer threshold. Every decision and the final state must agree,
+  // including at the edges (tiny p, the largest p below 1, out-of-range
+  // and NaN p).
+  const double ps[] = {0.0,
+                       1e-300,
+                       0.25,
+                       0.4,
+                       0.5,
+                       0.95,
+                       std::nextafter(1.0, 0.0),
+                       1.0,
+                       -0.1,
+                       1.5,
+                       std::numeric_limits<double>::quiet_NaN()};
+  for (const double p : ps) {
+    SCOPED_TRACE(::testing::Message() << "p=" << p);
+    Rng by_uniform(0x5eedULL);
+    Rng by_threshold(0x5eedULL);
+    const BernoulliThreshold t(p);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(by_uniform.bernoulli(p), by_threshold.bernoulli(t))
+          << "draw " << i;
+    }
+    EXPECT_TRUE(by_uniform == by_threshold);
+  }
+}
+
+TEST(Rng, ThresholdIsTotal) {
+  constexpr std::uint64_t kAlways = 1ULL << 53;
+  EXPECT_EQ(BernoulliThreshold(0.0).value(), 0u);
+  EXPECT_EQ(BernoulliThreshold(-0.0).value(), 0u);
+  EXPECT_EQ(BernoulliThreshold(-1e300).value(), 0u);
+  EXPECT_EQ(BernoulliThreshold(std::numeric_limits<double>::quiet_NaN())
+                .value(),
+            0u);
+  EXPECT_EQ(BernoulliThreshold(-std::numeric_limits<double>::infinity())
+                .value(),
+            0u);
+  EXPECT_EQ(BernoulliThreshold(1e-300).value(), 1u);
+  EXPECT_EQ(BernoulliThreshold(0.5).value(), kAlways / 2);
+  EXPECT_EQ(BernoulliThreshold(std::nextafter(1.0, 0.0)).value(),
+            kAlways - 1);
+  EXPECT_EQ(BernoulliThreshold(1.0).value(), kAlways);
+  EXPECT_EQ(BernoulliThreshold(1e300).value(), kAlways);
+  EXPECT_EQ(BernoulliThreshold(std::numeric_limits<double>::infinity())
+                .value(),
+            kAlways);
+}
+
 TEST(Rng, NormalMoments) {
   Rng r(13);
   RunningStats s;

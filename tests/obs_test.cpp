@@ -55,7 +55,7 @@ namespace {
 
 TEST(TraceSink, NullSinkIsANoOp) {
   // trace_emit on a null sink must be safe (the off-by-default path).
-  trace_emit(nullptr, TraceEvent::round_start(1));
+  trace_emit(nullptr, [&] { return TraceEvent::round_start(1); });
 }
 
 TEST(TraceSink, BufferSinkCapCountsDrops) {

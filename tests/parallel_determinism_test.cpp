@@ -13,7 +13,9 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -22,6 +24,8 @@
 #include "harness/algorithm_runs.hpp"
 #include "harness/experiments.hpp"
 #include "harness/measurement.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/run.hpp"
 #include "sim/sampler.hpp"
 
 namespace timing {
@@ -122,6 +126,31 @@ TEST(ParallelDeterminism, ExperimentSweepIsThreadCountInvariant) {
       ScopedThreads st(threads);
       expect_identical(baseline, run_experiment(cfg));
     }
+  }
+}
+
+TEST(ParallelDeterminism, GranularAblationIsThreadCountInvariant) {
+  // The registry runner fans its (sweep point, run) cells out; what it
+  // prints must not depend on the thread count. The defaults plus a
+  // shape whose rows span three words.
+  const scenario::Scenario& sc = *scenario::find_scenario("granular/ablation");
+  scenario::ScenarioSpec wide = sc.defaults();
+  wide.n = 129;
+  wide.runs = 3;
+  wide.rounds_per_run = 40;
+  wide.seed = 9;
+  for (const scenario::ScenarioSpec& spec : {sc.defaults(), wide}) {
+    auto run = [&](int threads) {
+      ScopedThreads st(threads);
+      std::ostringstream out;
+      scenario::RunContext ctx;
+      ctx.out = &out;
+      EXPECT_EQ(sc.run(spec, ctx), 0);
+      return out.str();
+    };
+    const std::string serial = run(1);
+    EXPECT_NE(serial.find("Granular ablation"), std::string::npos);
+    for (int threads : {2, 8}) EXPECT_EQ(run(threads), serial) << threads;
   }
 }
 

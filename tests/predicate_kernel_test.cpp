@@ -82,12 +82,13 @@ TEST(PackedLinkMatrix, AssignFromCopyToRoundTrip) {
 TEST(PackedLinkMatrix, LargeNTimelyFractionDoesNotOverflow) {
   // n^2 = 2'147'488'281 > INT_MAX: the historical int division made this
   // UB/garbage. The bit plane holds 46341 x 725 words (~268 MB); the
-  // delay plane is never allocated for an all-timely matrix.
+  // delay plane (n^2 int16, ~4.3 GB) is never allocated: the one cleared
+  // bit is cleared in the plane directly and its fate is never read.
   const int n = 46341;
   PackedLinkMatrix a(n);
   EXPECT_EQ(a.timely_count(), static_cast<std::size_t>(n) * n);
   EXPECT_DOUBLE_EQ(a.timely_fraction(), 1.0);
-  a.set_untimely(0, 1, kLost);
+  a.mutable_row_words(0)[0] &= ~(1ULL << 1);  // link 1 -> 0 untimely
   const auto total = static_cast<double>(static_cast<std::size_t>(n) * n);
   EXPECT_DOUBLE_EQ(a.timely_fraction(), (total - 1.0) / total);
 }
@@ -162,47 +163,81 @@ TEST(PredicateKernel, EvaluateAllEmitsSamePredicateEvent) {
   EXPECT_TRUE(scalar_sink.events()[0] == packed_sink.events()[0]);
 }
 
+/// Group sizes around every row-word boundary the IID sampler assembles
+/// in a register, and timely probabilities from never to always.
+constexpr int kIidSizes[] = {2, 31, 32, 63, 64, 65, 127, 128, 129};
+constexpr double kIidProbs[] = {0.0, 0.5, 0.9, 0.95, 1.0};
+constexpr Round kIidRounds = 40;
+
+/// Bits past n in the last word of every row must stay zero.
+void expect_zero_tails(const PackedLinkMatrix& q) {
+  const int last = q.words_per_row() - 1;
+  for (ProcessId d = 0; d < q.n(); ++d) {
+    ASSERT_EQ(q.row_words(d)[last] & ~q.word_mask(last), 0u) << "row " << d;
+  }
+}
+
+/// Both samplers must leave their generators where the next round starts
+/// the same draws, so each entry point consumes exactly the scalar draws.
+void expect_same_next_draw(const IidTimelinessSampler& want,
+                           const IidTimelinessSampler& got) {
+  Rng a = want.rng();
+  Rng b = got.rng();
+  ASSERT_EQ(a.next(), b.next());
+}
+
 TEST(FusedKernel, IidPackedSampleMatchesScalarSubstream) {
-  for (const int n : {2, 8, 64, 65}) {
-    IidTimelinessSampler scalar(n, 0.9, 0xabcdULL);
-    IidTimelinessSampler packed(n, 0.9, 0xabcdULL);
-    LinkMatrix a(n);
-    PackedLinkMatrix q(n);
-    for (Round k = 1; k <= 12; ++k) {
-      scalar.sample_round(k, a);
-      packed.sample_round(k, q);
-      expect_same_matrix(a, q);
+  for (const int n : kIidSizes) {
+    for (const double p : kIidProbs) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " p=" << p);
+      IidTimelinessSampler scalar(n, p, 0xabcdULL);
+      IidTimelinessSampler packed(n, p, 0xabcdULL);
+      LinkMatrix a(n);
+      PackedLinkMatrix q(n);
+      for (Round k = 1; k <= kIidRounds; ++k) {
+        scalar.sample_round(k, a);
+        packed.sample_round(k, q);
+        expect_same_matrix(a, q);
+        expect_zero_tails(q);
+        expect_same_next_draw(scalar, packed);
+      }
     }
   }
 }
 
 TEST(FusedKernel, IidFusedReproducesScalarMatricesAndMask) {
-  for (const int n : {2, 8, 33, 64, 65}) {
-    IidTimelinessSampler scalar(n, 0.85, 0x1234ULL);
-    IidTimelinessSampler fused(n, 0.85, 0x1234ULL);
-    LinkMatrix a(n);
-    PackedLinkMatrix q(n);
-    ColumnDeficits cols;
-    const ProcessId leader = n > 2 ? 2 : 0;
-    for (Round k = 1; k <= 12; ++k) {
-      scalar.sample_round(k, a);
-      const FusedRoundEval e = fused.sample_round_and_evaluate(k, leader, q, cols);
-      expect_same_matrix(a, q);
-      EXPECT_EQ(e.mask, evaluate_all(a, leader)) << "n=" << n << " k=" << k;
-      // Fate tallies must match a scalar count over the off-diagonal.
-      long long timely = 0, late = 0, lost = 0;
-      for (ProcessId d = 0; d < n; ++d) {
-        for (ProcessId s = 0; s < n; ++s) {
-          if (s == d) continue;
-          const Delay f = a.at(d, s);
-          if (f == 0) ++timely;
-          else if (f == kLost) ++lost;
-          else ++late;
+  for (const int n : kIidSizes) {
+    for (const double p : kIidProbs) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " p=" << p);
+      IidTimelinessSampler scalar(n, p, 0x1234ULL);
+      IidTimelinessSampler fused(n, p, 0x1234ULL);
+      LinkMatrix a(n);
+      PackedLinkMatrix q(n);
+      ColumnDeficits cols;
+      const ProcessId leader = n > 2 ? 2 : 0;
+      for (Round k = 1; k <= kIidRounds; ++k) {
+        scalar.sample_round(k, a);
+        const FusedRoundEval e =
+            fused.sample_round_and_evaluate(k, leader, q, cols);
+        expect_same_matrix(a, q);
+        expect_zero_tails(q);
+        expect_same_next_draw(scalar, fused);
+        EXPECT_EQ(e.mask, evaluate_all(a, leader)) << "k=" << k;
+        // Fate tallies must match a scalar count over the off-diagonal.
+        long long timely = 0, late = 0, lost = 0;
+        for (ProcessId d = 0; d < n; ++d) {
+          for (ProcessId s = 0; s < n; ++s) {
+            if (s == d) continue;
+            const Delay f = a.at(d, s);
+            if (f == 0) ++timely;
+            else if (f == kLost) ++lost;
+            else ++late;
+          }
         }
+        EXPECT_EQ(e.timely, timely);
+        EXPECT_EQ(e.late, late);
+        EXPECT_EQ(e.lost, lost);
       }
-      EXPECT_EQ(e.timely, timely);
-      EXPECT_EQ(e.late, late);
-      EXPECT_EQ(e.lost, lost);
     }
   }
 }

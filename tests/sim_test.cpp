@@ -76,6 +76,16 @@ TEST(IidSampler, ExtremeP) {
   }
 }
 
+TEST(IidSampler, RejectsProbabilitiesOutsideTheUnitInterval) {
+  EXPECT_DEATH(IidTimelinessSampler(4, 1.5, 1), "p must be a probability");
+  EXPECT_DEATH(IidTimelinessSampler(4, 0.5, 1, -0.1),
+               "loss_share must be a probability");
+  EXPECT_DEATH(IidTimelinessSampler(4, 0.5, 1, 1.5),
+               "loss_share must be a probability");
+  EXPECT_DEATH(IidTimelinessSampler(4, 0.5, 1, std::nan("")),
+               "loss_share must be a probability");
+}
+
 TEST(IidLatencyModel, RespectsImpliedTimeout) {
   IidLatencyModel m(8, 0.8, 5, 0.25, 1.0);
   m.begin_round(1);

@@ -12,6 +12,12 @@
 // run's emission-site crossings, since a full-run delta at this scale is
 // scheduler noise. Timed mode must stay under 10%, measured directly.
 // Budgets relax 3x under sanitizers.
+//
+// Every comparison is the median of paired samples: each pair times the
+// two sides back to back, alternating which runs first, so drift and
+// scheduler noise hit both sides of a pair alike (a difference of two
+// separate best-of times let one disturbed side swing the result).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -46,7 +52,7 @@ using BenchClock = std::chrono::steady_clock;
 // round work, small enough to finish in milliseconds.
 constexpr int kN = 16;
 constexpr int kCommands = 300;  // consensus instances per configuration
-constexpr int kReps = 7;        // best-of to shed scheduler noise
+constexpr int kPairs = 31;     // interleaved pairs per comparison
 #ifdef TIMING_BENCH_SANITIZED
 constexpr double kBudgetScale = 3.0;
 #else
@@ -62,18 +68,41 @@ double once_ms(const std::function<void()>& body) {
       .count();
 }
 
-/// Interleaved best-of: round-robin the configurations within each rep
-/// so drift and noise hit them all equally, keep each one's best rep.
-std::vector<double> interleaved_best_ms(
-    const std::vector<std::function<void()>>& bodies) {
-  std::vector<double> best(bodies.size(), 1e300);
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (std::size_t c = 0; c < bodies.size(); ++c) {
-      const double ms = once_ms(bodies[c]);
-      if (ms < best[c]) best[c] = ms;
+/// Paired samples: pair i timed a_ms[i] and b_ms[i] back to back.
+struct Pairs {
+  std::vector<double> a_ms;
+  std::vector<double> b_ms;
+};
+
+/// Times `a` and `b` back to back kPairs times, alternating which runs
+/// first.
+Pairs interleaved_pairs(const std::function<void()>& a,
+                        const std::function<void()>& b) {
+  Pairs p;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    if (pair % 2 == 0) {
+      p.a_ms.push_back(once_ms(a));
+      p.b_ms.push_back(once_ms(b));
+    } else {
+      p.b_ms.push_back(once_ms(b));
+      p.a_ms.push_back(once_ms(a));
     }
   }
-  return best;
+  return p;
+}
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// Median over the pairs of b's cost over a, in percent of a.
+double median_pct(const Pairs& p) {
+  std::vector<double> pct;
+  for (std::size_t i = 0; i < p.a_ms.size(); ++i) {
+    pct.push_back(100.0 * (p.b_ms[i] - p.a_ms[i]) / p.a_ms[i]);
+  }
+  return median(pct);
 }
 
 /// The live ablation workload: a stable-leader command sequence, one
@@ -117,34 +146,31 @@ int main() {
 
   long long checksum = 0;  // defeat dead-code elimination
   std::size_t timed_events = 0;
-  const std::vector<double> best = interleaved_best_ms({
-      [&] { checksum += run_sequence(nullptr); },
-      [&] {
-        BufferSink sink;
-        SpanTracer tracer(&sink, SpanMode::kIds);
-        checksum += run_sequence(&tracer);
-        checksum += static_cast<long long>(sink.events().size());
-      },
-      [&] {
-        BufferSink sink;
-        SpanTracer tracer(&sink, SpanMode::kTimed);
-        checksum += run_sequence(&tracer);
-        timed_events = sink.events().size();
-      },
+  const auto off = [&] { checksum += run_sequence(nullptr); };
+  const Pairs ids = interleaved_pairs(off, [&] {
+    BufferSink sink;
+    SpanTracer tracer(&sink, SpanMode::kIds);
+    checksum += run_sequence(&tracer);
+    checksum += static_cast<long long>(sink.events().size());
   });
-  const double base_ms = best[0];
-  const double ids_ms = best[1];
-  const double timed_ms = best[2];
-  const auto pct = [&](double ms) {
-    return 100.0 * (ms - base_ms) / base_ms;
-  };
+  const Pairs timed = interleaved_pairs(off, [&] {
+    BufferSink sink;
+    SpanTracer tracer(&sink, SpanMode::kTimed);
+    checksum += run_sequence(&tracer);
+    timed_events = sink.events().size();
+  });
+  const double base_ms = median(timed.a_ms);
+  const double timed_pct = median_pct(timed);
 
-  std::printf("SMR live path, n=%d, %d instances (best of %d)\n", kN,
-              kCommands, kReps);
-  std::printf("  %-6s %9.2f ms   baseline\n", "off", base_ms);
-  std::printf("  %-6s %9.2f ms   %+6.2f%%\n", "ids", ids_ms, pct(ids_ms));
-  std::printf("  %-6s %9.2f ms   %+6.2f%%  (%zu span events)\n", "timed",
-              timed_ms, pct(timed_ms), timed_events);
+  // Each mode has its own pairs, so its off median differs a little
+  // from the other's; the percentage is the median of the paired deltas.
+  std::printf("SMR live path, n=%d, %d instances (median of %d pairs)\n",
+              kN, kCommands, kPairs);
+  std::printf("  %-6s %9.2f ms vs off %9.2f ms   %+6.2f%%\n", "ids",
+              median(ids.b_ms), median(ids.a_ms), median_pct(ids));
+  std::printf("  %-6s %9.2f ms vs off %9.2f ms   %+6.2f%%  (%zu span "
+              "events)\n",
+              "timed", median(timed.b_ms), base_ms, timed_pct, timed_events);
 
   // The off-path gate. A full-run delta between "no tracer" and "tracer
   // off" is dominated by noise here, so isolate what the off path
@@ -168,25 +194,31 @@ int main() {
     }
     return x;
   };
-  const std::vector<double> micro = interleaved_best_ms({
-      [&] {
-        for (int i = 0; i < kIters; ++i) {
-          checksum += static_cast<long long>(work(xa) >> 60);
-        }
-      },
-      [&] {
-        for (int i = 0; i < kIters; ++i) {
-          const std::uint64_t w = work(xb);
-          if (null_tracer != nullptr && null_tracer->enabled()) {
-            checksum += null_tracer->begin(
-                make_span_id(span_kind::kRound, w & 0xFF, 0),
-                0, span_kind::kRound);
-          }
-          checksum += static_cast<long long>(w >> 60);
-        }
-      },
-  });
-  const double delta_ns = (micro[1] - micro[0]) * 1e6 / kIters;
+  const auto plain = [&] {
+    for (int i = 0; i < kIters; ++i) {
+      checksum += static_cast<long long>(work(xa) >> 60);
+    }
+  };
+  const auto guarded = [&] {
+    for (int i = 0; i < kIters; ++i) {
+      const std::uint64_t w = work(xb);
+      if (null_tracer != nullptr && null_tracer->enabled()) {
+        checksum += null_tracer->begin(
+            make_span_id(span_kind::kRound, w & 0xFF, 0), 0,
+            span_kind::kRound);
+      }
+      checksum += static_cast<long long>(w >> 60);
+    }
+  };
+  plain();
+  guarded();
+  const Pairs micro = interleaved_pairs(plain, guarded);
+  std::vector<double> deltas_ns;  // guarded - plain, per iteration
+  for (int i = 0; i < kPairs; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    deltas_ns.push_back((micro.b_ms[k] - micro.a_ms[k]) * 1e6 / kIters);
+  }
+  const double delta_ns = median(deltas_ns);
   const double site_cost_ns = delta_ns > 0.0 ? delta_ns : 0.0;
   // Each recorded span event is one emission-site crossing; scale the
   // branch cost to that count against the baseline run.
@@ -194,16 +226,18 @@ int main() {
       base_ms > 0.0 ? 100.0 * site_cost_ns *
                           static_cast<double>(timed_events) / (base_ms * 1e6)
                     : 0.0;
-  std::printf("emission site: %.3f ns per crossing, %zu crossings\n",
-              site_cost_ns, timed_events);
+  std::printf(
+      "emission site: %.3f ns per crossing (median of %d pairs), %zu "
+      "crossings\n",
+      site_cost_ns, kPairs, timed_events);
 
   const bool off_ok = off_pct < kOffBudgetPct;
-  const bool timed_ok = pct(timed_ms) < kTimedBudgetPct;
+  const bool timed_ok = timed_pct < kTimedBudgetPct;
   std::printf("off overhead:   %6.2f%% (budget %.0f%%) -> %s\n", off_pct,
               kOffBudgetPct, off_ok ? "OK" : "OVER BUDGET");
   std::printf("timed overhead: %6.2f%% (budget %.0f%%) -> %s   "
               "[checksum %lld]\n",
-              pct(timed_ms), kTimedBudgetPct,
+              timed_pct, kTimedBudgetPct,
               timed_ok ? "OK" : "OVER BUDGET", checksum);
   return off_ok && timed_ok ? 0 : 1;
 }

@@ -17,12 +17,16 @@
 //  * the same latency seeds are reused across timeouts (paired design),
 //    so curves vary with the timeout, not with resampling noise.
 //
-// Execution: every (timeout, run) cell is an independent trial fanned out
-// over the shared thread pool (common/parallel.hpp, TIMING_THREADS env).
-// Trial randomness is a pure function of (cfg.seed, run index), and the
-// per-timeout statistics are folded in run order on the calling thread,
-// so results are bit-identical for every thread count — TIMING_THREADS=1
-// reproduces the historical serial loop exactly.
+// Execution: each run is one independent trial fanned out over the
+// shared thread pool (common/parallel.hpp, TIMING_THREADS env). A trial
+// draws the run's latency stream and start points once and classifies
+// every round against all the sweep's timeouts (measure_run_sweep), so
+// the per-timeout results of a run are exactly what a separate sampler
+// per timeout on the same sub-streams would give. Trial randomness is a
+// pure function of (cfg.seed, run index), and the per-timeout statistics
+// are folded in run order on the calling thread, so results are
+// bit-identical for every thread count — TIMING_THREADS=1 reproduces the
+// historical serial loop exactly.
 #pragma once
 
 #include <array>

@@ -265,24 +265,24 @@ DecisionStats ConsecutiveWindowTracker::finalize() const {
   return out;
 }
 
-StreamedRun measure_run_streaming(TimelinessSampler& sampler, int rounds,
-                                  ProcessId leader,
-                                  const std::array<int, kNumModels>& needed,
-                                  int start_points, Rng& start_rng) {
+namespace {
+
+/// Pre-draws a run's random start points in exactly the order the
+/// vector-based path consumes them (model-major, kAllModels order, each
+/// uniform over the first half of the run so a typical window can
+/// complete), so the same `start_rng` sub-stream yields the same points,
+/// and returns one window tracker per model over them.
+std::vector<ConsecutiveWindowTracker> draw_trackers(
+    int rounds, const std::array<int, kNumModels>& needed, int start_points,
+    Rng& start_rng) {
   TM_CHECK(rounds > 0, "need at least one round");
   TM_CHECK(start_points > 0, "need at least one start point");
-  const int n = sampler.n();
-
-  // Pre-draw the start points in exactly the order the vector-based path
-  // consumes them (model-major, kAllModels order), so the same `start_rng`
-  // sub-stream yields the same points.
   std::vector<ConsecutiveWindowTracker> track;
   track.reserve(kNumModels);
   for (TimingModel m : kAllModels) {
     const int idx = model_index(m);
     std::vector<int> starts(static_cast<std::size_t>(start_points));
     for (int s = 0; s < start_points; ++s) {
-      // Start anywhere in the first half so a typical window can complete.
       starts[static_cast<std::size_t>(s)] = static_cast<int>(
           start_rng.uniform_int(
               static_cast<std::uint64_t>(std::max(1, rounds / 2))));
@@ -290,34 +290,73 @@ StreamedRun measure_run_streaming(TimelinessSampler& sampler, int rounds,
     track.emplace_back(needed[static_cast<std::size_t>(idx)],
                        std::move(starts), rounds);
   }
+  return track;
+}
 
+/// Feeds one round's predicate mask (bit model_index(m) per model) to the
+/// run's four trackers.
+void observe_mask(ConsecutiveWindowTracker* track, std::uint8_t mask) {
+  for (TimingModel m : kAllModels) {
+    const int idx = model_index(m);
+    track[idx].observe((mask & (1u << idx)) != 0);
+  }
+}
+
+/// P_M and the decision-window statistics of a finished run.
+void finalize_run(const ConsecutiveWindowTracker* track, int rounds,
+                  StreamedRun& out) {
+  for (TimingModel m : kAllModels) {
+    const auto idx = static_cast<std::size_t>(model_index(m));
+    const DecisionStats ds = track[idx].finalize();
+    out.pm[idx] = static_cast<double>(track[idx].satisfied_rounds()) /
+                  static_cast<double>(rounds);
+    out.mean_rounds[idx] = ds.mean_rounds;
+    out.censored[idx] = ds.censored_fraction;
+  }
+}
+
+void add_fates(const FusedRoundEval& fates, int n, StreamedRun& out) {
+  out.messages_total += static_cast<long long>(n) * (n - 1);
+  out.messages_timely += fates.timely;
+  out.messages_late += fates.late;
+  out.messages_lost += fates.lost;
+}
+
+void add_class_conformance(
+    std::uint8_t csat, std::array<long long, kNumLinkModelClasses>& sat) {
+  for (int c = 0; c < kNumLinkModelClasses; ++c) {
+    if (csat & (1u << c)) ++sat[static_cast<std::size_t>(c)];
+  }
+}
+
+void finalize_class_pm(const std::array<long long, kNumLinkModelClasses>& sat,
+                       int rounds, GranularStreamedRun& out) {
+  for (int c = 0; c < kNumLinkModelClasses; ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    out.class_pm[i] =
+        static_cast<double>(sat[i]) / static_cast<double>(rounds);
+  }
+}
+
+}  // namespace
+
+StreamedRun measure_run_streaming(TimelinessSampler& sampler, int rounds,
+                                  ProcessId leader,
+                                  const std::array<int, kNumModels>& needed,
+                                  int start_points, Rng& start_rng) {
+  std::vector<ConsecutiveWindowTracker> track =
+      draw_trackers(rounds, needed, start_points, start_rng);
+  const int n = sampler.n();
   StreamedRun out;
   PackedLinkMatrix a(n);
   ColumnDeficits cols;
   for (int r = 1; r <= rounds; ++r) {
     const FusedRoundEval e =
         sampler.sample_round_and_evaluate(r, leader, a, cols);
-    out.messages_total += static_cast<long long>(n) * (n - 1);
-    out.messages_timely += e.timely;
-    out.messages_late += e.late;
-    out.messages_lost += e.lost;
-    for (TimingModel m : kAllModels) {
-      const int idx = model_index(m);
-      track[static_cast<std::size_t>(idx)].observe(
-          (e.mask & (1u << idx)) != 0);
-    }
+    add_fates(e, n, out);
+    observe_mask(track.data(), e.mask);
   }
-
-  for (TimingModel m : kAllModels) {
-    const int idx = model_index(m);
-    const auto& t = track[static_cast<std::size_t>(idx)];
-    const DecisionStats ds = t.finalize();
-    out.pm[static_cast<std::size_t>(idx)] =
-        static_cast<double>(t.satisfied_rounds()) /
-        static_cast<double>(rounds);
-    out.mean_rounds[static_cast<std::size_t>(idx)] = ds.mean_rounds;
-    out.censored[static_cast<std::size_t>(idx)] = ds.censored_fraction;
-  }
+  finalize_run(track.data(), rounds, out);
   return out;
 }
 
@@ -325,26 +364,10 @@ GranularStreamedRun measure_run_streaming_granular(
     TimelinessSampler& sampler, int rounds, ProcessId leader,
     const std::array<int, kNumModels>& needed, int start_points,
     Rng& start_rng, const GranularContext& g) {
-  TM_CHECK(rounds > 0, "need at least one round");
-  TM_CHECK(start_points > 0, "need at least one start point");
+  std::vector<ConsecutiveWindowTracker> track =
+      draw_trackers(rounds, needed, start_points, start_rng);
   const int n = sampler.n();
   TM_CHECK(n == g.n(), "link-model matrix size must match the sampler");
-
-  // Identical pre-draw to measure_run_streaming: model-major, kAllModels
-  // order, uniform over the first half of the run.
-  std::vector<ConsecutiveWindowTracker> track;
-  track.reserve(kNumModels);
-  for (TimingModel m : kAllModels) {
-    const int idx = model_index(m);
-    std::vector<int> starts(static_cast<std::size_t>(start_points));
-    for (int s = 0; s < start_points; ++s) {
-      starts[static_cast<std::size_t>(s)] = static_cast<int>(
-          start_rng.uniform_int(
-              static_cast<std::uint64_t>(std::max(1, rounds / 2))));
-    }
-    track.emplace_back(needed[static_cast<std::size_t>(idx)],
-                       std::move(starts), rounds);
-  }
 
   GranularStreamedRun out;
   std::array<long long, kNumLinkModelClasses> class_sat{};
@@ -356,35 +379,109 @@ GranularStreamedRun measure_run_streaming_granular(
     sampler.sample_round(r, a);
     FusedRoundEval fates;
     tally_fates(a, fates);
-    out.base.messages_total += static_cast<long long>(n) * (n - 1);
-    out.base.messages_timely += fates.timely;
-    out.base.messages_late += fates.late;
-    out.base.messages_lost += fates.lost;
+    add_fates(fates, n, out.base);
     const GranularEval e = evaluate_all_granular(a, leader, g);
-    for (TimingModel m : kAllModels) {
-      const int idx = model_index(m);
-      track[static_cast<std::size_t>(idx)].observe(
-          (e.sat & (1u << idx)) != 0);
+    observe_mask(track.data(), e.sat);
+    add_class_conformance(e.csat, class_sat);
+  }
+  finalize_run(track.data(), rounds, out.base);
+  finalize_class_pm(class_sat, rounds, out);
+  return out;
+}
+
+std::vector<GranularStreamedRun> measure_run_sweep(
+    LatencyModel& model, const std::vector<double>& timeouts_ms, int rounds,
+    ProcessId leader, const std::array<int, kNumModels>& needed,
+    int start_points, Rng& start_rng, const GranularContext* g) {
+  const int n = model.n();
+  TM_CHECK(leader >= 0 && leader < n, "leader out of range");
+  TM_CHECK(g == nullptr || g->n() == n,
+           "link-model matrix size must match the latency model");
+  for (const double t : timeouts_ms) {
+    TM_CHECK(t > 0.0, "timeout must be positive");
+  }
+  const std::size_t num_timeouts = timeouts_ms.size();
+
+  // One draw of the start points, shared by every timeout: the paired
+  // design, exactly as if each timeout re-drew them from the same
+  // sub-stream.
+  const std::vector<ConsecutiveWindowTracker> drawn =
+      draw_trackers(rounds, needed, start_points, start_rng);
+  std::vector<ConsecutiveWindowTracker> track;
+  track.reserve(num_timeouts * kNumModels);
+  for (std::size_t ti = 0; ti < num_timeouts; ++ti) {
+    track.insert(track.end(), drawn.begin(), drawn.end());
+  }
+
+  std::vector<GranularStreamedRun> out(num_timeouts);
+  std::vector<std::array<long long, kNumLinkModelClasses>> class_sat(
+      g != nullptr ? num_timeouts : 0);
+  std::vector<double> ms(static_cast<std::size_t>(n) * n, 0.0);
+  PackedLinkMatrix a(n);
+  ColumnDeficits cols;
+  constexpr int kBits = PackedLinkMatrix::kWordBits;
+  for (int r = 1; r <= rounds; ++r) {
+    // The round's latencies, drawn once in LatencyTimelinessSampler's
+    // (dst, src) order so the model's RNG stream is consumed as a
+    // per-timeout sampler would consume it.
+    model.begin_round(r);
+    for (ProcessId dst = 0; dst < n; ++dst) {
+      for (ProcessId src = 0; src < n; ++src) {
+        if (src == dst) continue;
+        ms[static_cast<std::size_t>(dst) * n + src] =
+            model.sample_ms(src, dst);
+      }
     }
-    for (int c = 0; c < kNumLinkModelClasses; ++c) {
-      if (e.csat & (1u << c)) ++class_sat[static_cast<std::size_t>(c)];
+    for (std::size_t ti = 0; ti < num_timeouts; ++ti) {
+      // Only the bit plane is built: the predicates read nothing else,
+      // so the delay plane is left unwritten and the late/lost fates
+      // are only counted.
+      const double timeout = timeouts_ms[ti];
+      FusedRoundEval fates;
+      for (ProcessId dst = 0; dst < n; ++dst) {
+        const double* row_ms = ms.data() + static_cast<std::size_t>(dst) * n;
+        std::uint64_t* row = a.mutable_row_words(dst);
+        for (int w = 0; w < a.words_per_row(); ++w) {
+          const ProcessId base = w * kBits;
+          const int bits = std::min(kBits, n - base);
+          std::uint64_t word = 0;
+          for (int b = 0; b < bits; ++b) {
+            const ProcessId src = base + b;
+            if (src == dst) {
+              word |= 1ULL << b;
+              continue;
+            }
+            const Delay d = classify_latency(row_ms[src], timeout,
+                                             kDefaultMaxDelayRounds);
+            if (d == 0) {
+              word |= 1ULL << b;
+              ++fates.timely;
+            } else if (d == kLost) {
+              ++fates.lost;
+            } else {
+              ++fates.late;
+            }
+          }
+          row[w] = word;
+        }
+      }
+      GranularStreamedRun& run = out[ti];
+      add_fates(fates, n, run.base);
+      ConsecutiveWindowTracker* run_track = track.data() + ti * kNumModels;
+      if (g != nullptr) {
+        const GranularEval e =
+            packed_evaluate_granular(a, leader, g->planes(), cols);
+        observe_mask(run_track, e.sat);
+        add_class_conformance(e.csat, class_sat[ti]);
+      } else {
+        observe_mask(run_track, packed_evaluate_mask(a, leader, cols));
+      }
     }
   }
 
-  for (TimingModel m : kAllModels) {
-    const int idx = model_index(m);
-    const auto& t = track[static_cast<std::size_t>(idx)];
-    const DecisionStats ds = t.finalize();
-    out.base.pm[static_cast<std::size_t>(idx)] =
-        static_cast<double>(t.satisfied_rounds()) /
-        static_cast<double>(rounds);
-    out.base.mean_rounds[static_cast<std::size_t>(idx)] = ds.mean_rounds;
-    out.base.censored[static_cast<std::size_t>(idx)] = ds.censored_fraction;
-  }
-  for (int c = 0; c < kNumLinkModelClasses; ++c) {
-    out.class_pm[static_cast<std::size_t>(c)] =
-        static_cast<double>(class_sat[static_cast<std::size_t>(c)]) /
-        static_cast<double>(rounds);
+  for (std::size_t ti = 0; ti < num_timeouts; ++ti) {
+    finalize_run(track.data() + ti * kNumModels, rounds, out[ti].base);
+    if (g != nullptr) finalize_class_pm(class_sat[ti], rounds, out[ti]);
   }
   return out;
 }

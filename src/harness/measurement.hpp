@@ -197,4 +197,24 @@ GranularStreamedRun measure_run_streaming_granular(
     const std::array<int, kNumModels>& needed, int start_points,
     Rng& start_rng, const GranularContext& g);
 
+/// One run of a paired timeout sweep: every timeout sees the same latency
+/// draws and the same start points. Each round draws the model's
+/// latencies once (begin_round, then sample_ms for every off-diagonal
+/// cell in (dst, src) order: LatencyTimelinessSampler's RNG consumption)
+/// and classifies the buffer against each timeout with classify_latency,
+/// then evaluates the packed predicates: the homogeneous ones, or the
+/// granular ones when `g` is set. The start points are drawn once, in
+/// measure_run_streaming's order, and shared by every timeout.
+///
+/// Entry i equals, field for field and bit for bit, what
+/// measure_run_streaming (g null; class_pm stays zero) or
+/// measure_run_streaming_granular returns for a LatencyTimelinessSampler
+/// over a fresh model on the same sub-stream with timeout timeouts_ms[i]
+/// and a fresh copy of `start_rng` (tests/harness_test.cpp pins this).
+/// Timeouts may come in any order and repeat.
+std::vector<GranularStreamedRun> measure_run_sweep(
+    LatencyModel& model, const std::vector<double>& timeouts_ms, int rounds,
+    ProcessId leader, const std::array<int, kNumModels>& needed,
+    int start_points, Rng& start_rng, const GranularContext* g = nullptr);
+
 }  // namespace timing

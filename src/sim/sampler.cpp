@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "common/check.hpp"
 
@@ -117,16 +116,6 @@ LatencyTimelinessSampler::LatencyTimelinessSampler(LatencyModel& model,
     : model_(model), timeout_ms_(timeout_ms),
       max_delay_rounds_(max_delay_rounds) {
   TM_CHECK(timeout_ms > 0.0, "timeout must be positive");
-}
-
-Delay LatencyTimelinessSampler::classify(double ms) const noexcept {
-  if (!std::isfinite(ms)) return kLost;
-  if (ms <= timeout_ms_) return 0;
-  // Rounds last `timeout`; a message sent at the start of round k with
-  // latency L lands in round k + floor(L / timeout).
-  const double rounds_late = std::floor(ms / timeout_ms_);
-  return rounds_late > max_delay_rounds_ ? kLost
-                                         : static_cast<Delay>(rounds_late);
 }
 
 void LatencyTimelinessSampler::sample_round(Round k, LinkMatrix& out) {

@@ -17,8 +17,18 @@
 // fused path consumes the RNG in exactly the per-cell order of the scalar
 // sample_round, so for the same sub-stream it reproduces the exact same
 // matrices (asserted by tests/predicate_kernel_test.cpp).
+//
+// The Figure 1 timeout sweeps do not go through LatencyTimelinessSampler:
+// harness/measurement.hpp's measure_run_sweep draws each round's
+// latencies once and classifies them against every timeout with
+// classify_latency below, the same function the sampler uses. So the
+// fused latency kernel is no longer on the figure path; it runs under
+// measure_run_streaming (the sweep's differential oracle), the benches
+// and the kernel tests, while the live runners use the sampler's plain
+// entry points.
 #pragma once
 
+#include <cmath>
 #include <functional>
 
 #include "common/rng.hpp"
@@ -66,6 +76,24 @@ class TimelinessSampler {
 /// from popcounts, late/lost from the (rare) complement bits.
 void tally_fates(const PackedLinkMatrix& a, FusedRoundEval& eval);
 
+/// Rounds a straggler may stay in flight before it counts as lost (keeps
+/// engine queues bounded).
+inline constexpr int kDefaultMaxDelayRounds = 64;
+
+/// Fate of a message with latency `ms` under round timeout `timeout_ms`:
+/// timely (0) within the timeout, otherwise floor(ms / timeout) rounds
+/// late (a message sent at the start of round k lands in round
+/// k + floor(ms / timeout)), and lost when that exceeds
+/// `max_delay_rounds` or the latency is not finite.
+inline Delay classify_latency(double ms, double timeout_ms,
+                              int max_delay_rounds) noexcept {
+  if (!std::isfinite(ms)) return kLost;
+  if (ms <= timeout_ms) return 0;
+  const double rounds_late = std::floor(ms / timeout_ms);
+  return rounds_late > max_delay_rounds ? kLost
+                                        : static_cast<Delay>(rounds_late);
+}
+
 /// Observer invoked for every sampled latency; used by the harness to
 /// measure p (the fraction of timely messages) alongside the matrices.
 using LatencySink =
@@ -74,9 +102,9 @@ using LatencySink =
 class LatencyTimelinessSampler final : public TimelinessSampler {
  public:
   /// `max_delay_rounds` caps how long a straggler stays in flight before
-  /// we count it as lost (keeps engine queues bounded).
+  /// it counts as lost (see classify_latency).
   LatencyTimelinessSampler(LatencyModel& model, double timeout_ms,
-                           int max_delay_rounds = 64);
+                           int max_delay_rounds = kDefaultMaxDelayRounds);
 
   int n() const noexcept override { return model_.n(); }
   void sample_round(Round k, LinkMatrix& out) override;
@@ -89,8 +117,9 @@ class LatencyTimelinessSampler final : public TimelinessSampler {
   double timeout_ms() const noexcept { return timeout_ms_; }
 
  private:
-  /// Fate of one sampled latency (kLost / 0 / rounds late).
-  Delay classify(double ms) const noexcept;
+  Delay classify(double ms) const noexcept {
+    return classify_latency(ms, timeout_ms_, max_delay_rounds_);
+  }
 
   LatencyModel& model_;
   double timeout_ms_;

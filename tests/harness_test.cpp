@@ -4,13 +4,20 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "harness/algorithm_runs.hpp"
 #include "harness/experiments.hpp"
 #include "oracles/omega.hpp"
 #include "harness/measurement.hpp"
+#include "models/link_model_matrix.hpp"
 #include "models/schedule.hpp"
+#include "sim/latency_model.hpp"
 
 namespace timing {
 namespace {
@@ -256,6 +263,181 @@ TEST(Streaming, MeasureRunStreamingMatchesVectorPipeline) {
     EXPECT_EQ(s.mean_rounds[idx], want_rounds[idx]) << to_string(tm);
     EXPECT_EQ(s.censored[idx], want_censored[idx]) << to_string(tm);
   }
+}
+
+/// Exact bit equality (EXPECT_EQ on doubles identifies -0.0 with +0.0).
+::testing::AssertionResult bits_equal(double a, double b) {
+  std::uint64_t ba = 0, bb = 0;
+  std::memcpy(&ba, &a, sizeof(a));
+  std::memcpy(&bb, &b, sizeof(b));
+  if (ba == bb) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << a << " and " << b << " differ in bits";
+}
+
+void expect_same_run(const GranularStreamedRun& got,
+                     const GranularStreamedRun& want) {
+  EXPECT_EQ(got.base.messages_total, want.base.messages_total);
+  EXPECT_EQ(got.base.messages_timely, want.base.messages_timely);
+  EXPECT_EQ(got.base.messages_late, want.base.messages_late);
+  EXPECT_EQ(got.base.messages_lost, want.base.messages_lost);
+  for (std::size_t i = 0; i < kNumModels; ++i) {
+    EXPECT_TRUE(bits_equal(got.base.pm[i], want.base.pm[i])) << "model " << i;
+    EXPECT_TRUE(bits_equal(got.base.mean_rounds[i], want.base.mean_rounds[i]))
+        << "model " << i;
+    EXPECT_TRUE(bits_equal(got.base.censored[i], want.base.censored[i]))
+        << "model " << i;
+  }
+  for (std::size_t c = 0; c < kNumLinkModelClasses; ++c) {
+    EXPECT_TRUE(bits_equal(got.class_pm[c], want.class_pm[c])) << "class " << c;
+  }
+}
+
+std::unique_ptr<LatencyModel> testbed_model(Testbed testbed,
+                                            std::uint64_t seed) {
+  if (testbed == Testbed::kLan) {
+    return std::make_unique<LanLatencyModel>(LanProfile{}, seed);
+  }
+  return std::make_unique<WanLatencyModel>(WanProfile{}, seed);
+}
+
+/// Latencies on a 10 ms grid, lost (infinite or NaN) on a few links, so
+/// that some land exactly on a timeout.
+class GridLatencyModel final : public LatencyModel {
+ public:
+  int n() const noexcept override { return 5; }
+  void begin_round(Round k) override { round_ = k; }
+  double sample_ms(ProcessId src, ProcessId dst) override {
+    const int cell = src + 2 * dst + round_;
+    if (cell % 11 == 0) return std::numeric_limits<double>::infinity();
+    if (cell % 13 == 0) return std::numeric_limits<double>::quiet_NaN();
+    return 10.0 * (1 + cell % 7);
+  }
+
+ private:
+  Round round_ = 0;
+};
+
+constexpr int kSweepRounds = 90;
+constexpr int kSweepStartPoints = 7;
+constexpr std::array<int, kNumModels> kSweepNeeded{3, 3, 4, 5};
+
+/// The oracle of measure_run_sweep: one streamed run per timeout, each
+/// over a fresh LatencyTimelinessSampler on a fresh model and a fresh
+/// start stream from the same sub-streams.
+std::vector<GranularStreamedRun> streamed_per_timeout(
+    const std::function<std::unique_ptr<LatencyModel>()>& make_model,
+    const std::vector<double>& timeouts_ms, ProcessId leader,
+    const GranularContext* g, std::uint64_t run) {
+  std::vector<GranularStreamedRun> out;
+  for (const double t : timeouts_ms) {
+    auto model = make_model();
+    LatencyTimelinessSampler sampler(*model, t);
+    Rng start_rng = substream(23, run);
+    GranularStreamedRun want;
+    if (g != nullptr) {
+      want = measure_run_streaming_granular(sampler, kSweepRounds, leader,
+                                            kSweepNeeded, kSweepStartPoints,
+                                            start_rng, *g);
+    } else {
+      want.base = measure_run_streaming(sampler, kSweepRounds, leader,
+                                        kSweepNeeded, kSweepStartPoints,
+                                        start_rng);
+    }
+    out.push_back(want);
+  }
+  return out;
+}
+
+std::vector<GranularStreamedRun> swept(
+    const std::function<std::unique_ptr<LatencyModel>()>& make_model,
+    const std::vector<double>& timeouts_ms, ProcessId leader,
+    const GranularContext* g, std::uint64_t run) {
+  auto model = make_model();
+  Rng start_rng = substream(23, run);
+  auto out = measure_run_sweep(*model, timeouts_ms, kSweepRounds, leader,
+                               kSweepNeeded, kSweepStartPoints, start_rng, g);
+  // The start points are drawn once, not once per timeout.
+  Rng once = substream(23, run);
+  for (int i = 0; i < kNumModels * kSweepStartPoints; ++i) {
+    (void)once.uniform_int(kSweepRounds / 2);
+  }
+  EXPECT_EQ(start_rng.next(), once.next());
+  return out;
+}
+
+TEST(Experiments, SweepMatchesPerTimeoutStreaming) {
+  // measure_run_sweep against its oracle, for the homogeneous and the
+  // granular predicates on both testbeds. Every field must agree bit for
+  // bit. The timeouts come unsorted and duplicated and include one below
+  // every latency (all late on the LAN, 0.01 ms) and one so small that
+  // floor(ms / t) > 64 turns late messages into lost ones (WAN, 1 ms).
+  LinkModelMatrix mix;
+  ASSERT_EQ(parse_link_models("psync:0->*,3->5;async:2->1,6->4,7->0", 8, mix),
+            "");
+  const GranularContext mixed{mix};
+
+  struct Case {
+    Testbed testbed;
+    ProcessId leader;
+    std::vector<double> timeouts_ms;
+    double all_late_ms;  ///< below every latency, still within 64 rounds
+    double all_lost_ms;  ///< >64 rounds below many latencies
+  };
+  const std::vector<Case> cases{
+      {Testbed::kLan, 0, {0.2, 0.01, 0.1, 0.2, 0.07, 0.0004}, 0.01, 0.0004},
+      {Testbed::kWan, WanLatencyModel::kUk, {300, 1, 160, 300, 5, 140}, 5, 1},
+  };
+  for (const Case& c : cases) {
+    for (const GranularContext* g : {static_cast<const GranularContext*>(
+                                         nullptr),
+                                     &mixed}) {
+      for (std::uint64_t run : {0, 1}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (c.testbed == Testbed::kLan ? "LAN" : "WAN")
+                     << (g ? " granular" : " homogeneous") << " run " << run);
+        const auto make = [&] {
+          return testbed_model(c.testbed, substream_seed(11, run));
+        };
+        const auto got = swept(make, c.timeouts_ms, c.leader, g, run);
+        const auto want =
+            streamed_per_timeout(make, c.timeouts_ms, c.leader, g, run);
+        ASSERT_EQ(got.size(), c.timeouts_ms.size());
+        for (std::size_t ti = 0; ti < c.timeouts_ms.size(); ++ti) {
+          const double t = c.timeouts_ms[ti];
+          SCOPED_TRACE(::testing::Message() << "timeout " << t);
+          expect_same_run(got[ti], want[ti]);
+          const StreamedRun& r = got[ti].base;
+          if (t == c.all_late_ms) {
+            EXPECT_EQ(r.messages_timely, 0);
+            EXPECT_GT(r.messages_late, 0);
+          }
+          if (t == c.all_lost_ms) {
+            // Only the real losses are lost at the larger timeouts.
+            EXPECT_EQ(r.messages_timely, 0);
+            EXPECT_GT(r.messages_lost, r.messages_total / 4);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Experiments, SweepClassifiesBoundaryLatenciesLikeTheSampler) {
+  // Latencies exactly on a timeout are timely; infinite and NaN ones are
+  // lost, as are those more than 64 rounds late (0.5 ms).
+  const std::vector<double> timeouts{20, 40, 0.5, 20, 70};
+  const auto make = [] { return std::make_unique<GridLatencyModel>(); };
+  const auto got = swept(make, timeouts, 1, nullptr, 0);
+  const auto want = streamed_per_timeout(make, timeouts, 1, nullptr, 0);
+  ASSERT_EQ(got.size(), timeouts.size());
+  for (std::size_t ti = 0; ti < timeouts.size(); ++ti) {
+    SCOPED_TRACE(::testing::Message() << "timeout " << timeouts[ti]);
+    expect_same_run(got[ti], want[ti]);
+    EXPECT_GT(got[ti].base.messages_lost, 0);
+  }
+  EXPECT_GT(got[0].base.messages_timely, 0);
+  EXPECT_GT(got[0].base.messages_late, 0);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "harness/algorithm_runs.hpp"
 #include "harness/experiments.hpp"
 #include "harness/measurement.hpp"
+#include "models/link_model_matrix.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
 #include "sim/sampler.hpp"
@@ -102,6 +103,10 @@ void expect_identical(const std::vector<TimeoutResult>& a,
   for (std::size_t t = 0; t < a.size(); ++t) {
     EXPECT_TRUE(bits_equal(a[t].timeout_ms, b[t].timeout_ms));
     EXPECT_TRUE(bits_equal(a[t].mean_p, b[t].mean_p));
+    EXPECT_EQ(a[t].granular, b[t].granular);
+    for (std::size_t c = 0; c < kNumLinkModelClasses; ++c) {
+      EXPECT_TRUE(bits_equal(a[t].mean_class_pm[c], b[t].mean_class_pm[c]));
+    }
     for (int m = 0; m < kNumModels; ++m) {
       const auto& ma = a[t].models[static_cast<std::size_t>(m)];
       const auto& mb = b[t].models[static_cast<std::size_t>(m)];
@@ -118,13 +123,28 @@ void expect_identical(const std::vector<TimeoutResult>& a,
 }
 
 TEST(ParallelDeterminism, ExperimentSweepIsThreadCountInvariant) {
+  // The parallel unit is one run (all timeouts of the sweep), so cover
+  // the homogeneous and the granular predicates, and fewer runs than
+  // threads as well as more.
+  LinkModelMatrix mix;
+  ASSERT_EQ(parse_link_models("psync:0->*;async:2->1,6->4,7->0", 8, mix), "");
   for (std::uint64_t seed : {1ULL, 42ULL, 0xC0FFEEULL}) {
-    const ExperimentConfig cfg = small_config(seed);
-    ScopedThreads serial(1);
-    const auto baseline = run_experiment(cfg);
-    for (int threads : {2, 8}) {
-      ScopedThreads st(threads);
-      expect_identical(baseline, run_experiment(cfg));
+    for (const bool granular : {false, true}) {
+      for (const int runs : {1, 3, 7}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << (granular ? " granular" : "")
+                     << " runs " << runs);
+        ExperimentConfig cfg = small_config(seed);
+        cfg.runs = runs;
+        if (granular) cfg.link_models = mix;
+        ScopedThreads serial(1);
+        const auto baseline = run_experiment(cfg);
+        ASSERT_EQ(baseline.front().granular, granular);
+        for (int threads : {2, 8}) {
+          ScopedThreads st(threads);
+          expect_identical(baseline, run_experiment(cfg));
+        }
+      }
     }
   }
 }

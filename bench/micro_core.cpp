@@ -46,19 +46,6 @@ void BM_PackedPredicateEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedPredicateEvaluation)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_FusedSampleEvaluate(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  IidTimelinessSampler s(n, 0.95, 1);
-  PackedLinkMatrix a(n);
-  ColumnDeficits cols;
-  Round k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(s.sample_round_and_evaluate(++k, 0, a, cols));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_FusedSampleEvaluate)->Arg(8)->Arg(32)->Arg(128);
-
 void BM_IidSampleRound(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   IidTimelinessSampler s(n, 0.95, 1);

@@ -39,7 +39,7 @@ class FaultInjector {
   Round gsr() const noexcept { return plan_.gsr; }
 
   /// True when round k can carry any injection (cheap pre-check that
-  /// keeps the no-fault rounds on the fused fast path).
+  /// leaves the no-fault rounds exactly as the inner sampler drew them).
   bool active_in(Round k) const noexcept;
 
   /// Edit round k's sampled matrix in place. Deterministic: the same
@@ -91,9 +91,9 @@ class FaultInjector {
 };
 
 /// Sampler decorator: inner sample, then injector.apply. When round k
-/// carries no injection the call forwards to the inner sampler's fused
-/// kernel untouched, so no-fault runs stay byte-identical to the
-/// undecorated pipeline.
+/// carries no injection the inner sampler's matrix passes through
+/// untouched, so no-fault runs stay byte-identical to the undecorated
+/// pipeline.
 class FaultInjectedSampler final : public TimelinessSampler {
  public:
   FaultInjectedSampler(TimelinessSampler& inner, FaultInjector& injector)
@@ -102,9 +102,6 @@ class FaultInjectedSampler final : public TimelinessSampler {
   int n() const noexcept override { return inner_.n(); }
   void sample_round(Round k, LinkMatrix& out) override;
   void sample_round(Round k, PackedLinkMatrix& out) override;
-  FusedRoundEval sample_round_and_evaluate(Round k, ProcessId leader,
-                                           PackedLinkMatrix& out,
-                                           ColumnDeficits& cols) override;
 
  private:
   TimelinessSampler& inner_;

@@ -293,6 +293,10 @@ std::vector<ConsecutiveWindowTracker> draw_trackers(
   return track;
 }
 
+/// Per-class conformance tallies of a run (rounds in which every link of
+/// each LinkModelClass was timely).
+using ClassSat = std::array<long long, kNumLinkModelClasses>;
+
 /// Feeds one round's predicate mask (bit model_index(m) per model) to the
 /// run's four trackers.
 void observe_mask(ConsecutiveWindowTracker* track, std::uint8_t mask) {
@@ -302,16 +306,20 @@ void observe_mask(ConsecutiveWindowTracker* track, std::uint8_t mask) {
   }
 }
 
-/// P_M and the decision-window statistics of a finished run.
-void finalize_run(const ConsecutiveWindowTracker* track, int rounds,
-                  StreamedRun& out) {
-  for (TimingModel m : kAllModels) {
-    const auto idx = static_cast<std::size_t>(model_index(m));
-    const DecisionStats ds = track[idx].finalize();
-    out.pm[idx] = static_cast<double>(track[idx].satisfied_rounds()) /
-                  static_cast<double>(rounds);
-    out.mean_rounds[idx] = ds.mean_rounds;
-    out.censored[idx] = ds.censored_fraction;
+/// Evaluates one packed round, the homogeneous predicates or with `g` the
+/// granular ones, and feeds the run's trackers and class tallies.
+void observe_round(const PackedLinkMatrix& a, ProcessId leader,
+                   const GranularContext* g, ColumnDeficits& cols,
+                   ConsecutiveWindowTracker* track, ClassSat& class_sat) {
+  if (g == nullptr) {
+    observe_mask(track, packed_evaluate_mask(a, leader, cols));
+    return;
+  }
+  const GranularEval e =
+      packed_evaluate_granular(a, leader, g->planes(), cols);
+  observe_mask(track, e.sat);
+  for (int c = 0; c < kNumLinkModelClasses; ++c) {
+    if (e.csat & (1u << c)) ++class_sat[static_cast<std::size_t>(c)];
   }
 }
 
@@ -322,20 +330,58 @@ void add_fates(const FusedRoundEval& fates, int n, StreamedRun& out) {
   out.messages_lost += fates.lost;
 }
 
-void add_class_conformance(
-    std::uint8_t csat, std::array<long long, kNumLinkModelClasses>& sat) {
-  for (int c = 0; c < kNumLinkModelClasses; ++c) {
-    if (csat & (1u << c)) ++sat[static_cast<std::size_t>(c)];
+/// P_M, the decision-window statistics and the class conformance of a
+/// finished run (class_pm stays zero when no class was tallied).
+void finalize_run(const ConsecutiveWindowTracker* track,
+                  const ClassSat& class_sat, int rounds,
+                  GranularStreamedRun& out) {
+  for (TimingModel m : kAllModels) {
+    const auto idx = static_cast<std::size_t>(model_index(m));
+    const DecisionStats ds = track[idx].finalize();
+    out.base.pm[idx] = static_cast<double>(track[idx].satisfied_rounds()) /
+                       static_cast<double>(rounds);
+    out.base.mean_rounds[idx] = ds.mean_rounds;
+    out.base.censored[idx] = ds.censored_fraction;
   }
-}
-
-void finalize_class_pm(const std::array<long long, kNumLinkModelClasses>& sat,
-                       int rounds, GranularStreamedRun& out) {
   for (int c = 0; c < kNumLinkModelClasses; ++c) {
     const auto i = static_cast<std::size_t>(c);
     out.class_pm[i] =
-        static_cast<double>(sat[i]) / static_cast<double>(rounds);
+        static_cast<double>(class_sat[i]) / static_cast<double>(rounds);
   }
+}
+
+/// Rejects a leader or link-model matrix that does not fit `n` processes.
+void check_run_shape(int n, ProcessId leader, const GranularContext* g) {
+  TM_CHECK(leader >= 0 && leader < n, "leader out of range");
+  TM_CHECK(g == nullptr || g->n() == n,
+           "link-model matrix size must match the process count");
+}
+
+/// The one streamed-run loop: each round is a packed sample_round, a fate
+/// tally and observe_round.
+GranularStreamedRun stream_run(TimelinessSampler& sampler, int rounds,
+                               ProcessId leader,
+                               const std::array<int, kNumModels>& needed,
+                               int start_points, Rng& start_rng,
+                               const GranularContext* g) {
+  const int n = sampler.n();
+  check_run_shape(n, leader, g);
+  std::vector<ConsecutiveWindowTracker> track =
+      draw_trackers(rounds, needed, start_points, start_rng);
+
+  GranularStreamedRun out;
+  ClassSat class_sat{};
+  PackedLinkMatrix a(n);
+  ColumnDeficits cols;
+  for (int r = 1; r <= rounds; ++r) {
+    sampler.sample_round(r, a);
+    FusedRoundEval fates;
+    tally_fates(a, fates);
+    add_fates(fates, n, out.base);
+    observe_round(a, leader, g, cols, track.data(), class_sat);
+  }
+  finalize_run(track.data(), class_sat, rounds, out);
+  return out;
 }
 
 }  // namespace
@@ -344,49 +390,17 @@ StreamedRun measure_run_streaming(TimelinessSampler& sampler, int rounds,
                                   ProcessId leader,
                                   const std::array<int, kNumModels>& needed,
                                   int start_points, Rng& start_rng) {
-  std::vector<ConsecutiveWindowTracker> track =
-      draw_trackers(rounds, needed, start_points, start_rng);
-  const int n = sampler.n();
-  StreamedRun out;
-  PackedLinkMatrix a(n);
-  ColumnDeficits cols;
-  for (int r = 1; r <= rounds; ++r) {
-    const FusedRoundEval e =
-        sampler.sample_round_and_evaluate(r, leader, a, cols);
-    add_fates(e, n, out);
-    observe_mask(track.data(), e.mask);
-  }
-  finalize_run(track.data(), rounds, out);
-  return out;
+  return stream_run(sampler, rounds, leader, needed, start_points, start_rng,
+                    nullptr)
+      .base;
 }
 
 GranularStreamedRun measure_run_streaming_granular(
     TimelinessSampler& sampler, int rounds, ProcessId leader,
     const std::array<int, kNumModels>& needed, int start_points,
     Rng& start_rng, const GranularContext& g) {
-  std::vector<ConsecutiveWindowTracker> track =
-      draw_trackers(rounds, needed, start_points, start_rng);
-  const int n = sampler.n();
-  TM_CHECK(n == g.n(), "link-model matrix size must match the sampler");
-
-  GranularStreamedRun out;
-  std::array<long long, kNumLinkModelClasses> class_sat{};
-  PackedLinkMatrix a(n);
-  for (int r = 1; r <= rounds; ++r) {
-    // Plain packed sample (per-cell RNG order equals the fused kernel's),
-    // then the one-sweep granular evaluation and a fate tally. With an
-    // all-sync matrix the sat mask equals the homogeneous fused mask.
-    sampler.sample_round(r, a);
-    FusedRoundEval fates;
-    tally_fates(a, fates);
-    add_fates(fates, n, out.base);
-    const GranularEval e = evaluate_all_granular(a, leader, g);
-    observe_mask(track.data(), e.sat);
-    add_class_conformance(e.csat, class_sat);
-  }
-  finalize_run(track.data(), rounds, out.base);
-  finalize_class_pm(class_sat, rounds, out);
-  return out;
+  return stream_run(sampler, rounds, leader, needed, start_points, start_rng,
+                    &g);
 }
 
 std::vector<GranularStreamedRun> measure_run_sweep(
@@ -394,9 +408,7 @@ std::vector<GranularStreamedRun> measure_run_sweep(
     ProcessId leader, const std::array<int, kNumModels>& needed,
     int start_points, Rng& start_rng, const GranularContext* g) {
   const int n = model.n();
-  TM_CHECK(leader >= 0 && leader < n, "leader out of range");
-  TM_CHECK(g == nullptr || g->n() == n,
-           "link-model matrix size must match the latency model");
+  check_run_shape(n, leader, g);
   for (const double t : timeouts_ms) {
     TM_CHECK(t > 0.0, "timeout must be positive");
   }
@@ -414,8 +426,7 @@ std::vector<GranularStreamedRun> measure_run_sweep(
   }
 
   std::vector<GranularStreamedRun> out(num_timeouts);
-  std::vector<std::array<long long, kNumLinkModelClasses>> class_sat(
-      g != nullptr ? num_timeouts : 0);
+  std::vector<ClassSat> class_sat(num_timeouts, ClassSat{});
   std::vector<double> ms(static_cast<std::size_t>(n) * n, 0.0);
   PackedLinkMatrix a(n);
   ColumnDeficits cols;
@@ -465,23 +476,15 @@ std::vector<GranularStreamedRun> measure_run_sweep(
           row[w] = word;
         }
       }
-      GranularStreamedRun& run = out[ti];
-      add_fates(fates, n, run.base);
-      ConsecutiveWindowTracker* run_track = track.data() + ti * kNumModels;
-      if (g != nullptr) {
-        const GranularEval e =
-            packed_evaluate_granular(a, leader, g->planes(), cols);
-        observe_mask(run_track, e.sat);
-        add_class_conformance(e.csat, class_sat[ti]);
-      } else {
-        observe_mask(run_track, packed_evaluate_mask(a, leader, cols));
-      }
+      add_fates(fates, n, out[ti].base);
+      observe_round(a, leader, g, cols, track.data() + ti * kNumModels,
+                    class_sat[ti]);
     }
   }
 
   for (std::size_t ti = 0; ti < num_timeouts; ++ti) {
-    finalize_run(track.data() + ti * kNumModels, rounds, out[ti].base);
-    if (g != nullptr) finalize_class_pm(class_sat[ti], rounds, out[ti]);
+    finalize_run(track.data() + ti * kNumModels, class_sat[ti], rounds,
+                 out[ti]);
   }
   return out;
 }

@@ -151,12 +151,12 @@ class ConsecutiveWindowTracker {
 
 /// One streamed measurement run: per-model P_M incidence and the mean
 /// rounds-until-decision-conditions over `start_points` random start
-/// points, computed without per-round vectors via the fused
-/// sample-and-evaluate kernel. Statistically (and bit-for-bit) identical
-/// to measure_run + incidence + decision_stats with the same sampler
-/// sub-stream and `start_rng`, but the hot loop is one pass per round
-/// over the packed bit plane. No tracing/metrics: this is the
-/// zero-observability fast path the figure sweeps run on.
+/// points, computed without per-round vectors: each round is a packed
+/// sample_round, a fate tally and packed_evaluate_mask. Bit-for-bit
+/// identical to measure_run + incidence + decision_stats with the same
+/// sampler sub-stream and `start_rng`. No tracing/metrics: this is the
+/// zero-observability path, and the differential oracle of
+/// measure_run_sweep. The leader must be in [0, n).
 struct StreamedRun {
   long long messages_total = 0;
   long long messages_timely = 0;
@@ -191,7 +191,8 @@ struct GranularStreamedRun {
 /// order and the start points are pre-drawn in the same model-major order
 /// as measure_run_streaming, so with an all-sync `g` the StreamedRun
 /// fields are bit-identical to the homogeneous path on the same
-/// sub-streams (tests/granular_test.cpp pins this).
+/// sub-streams (tests/granular_test.cpp pins this). Both streaming runs
+/// share one loop; `g` must be sized for the sampler's n.
 GranularStreamedRun measure_run_streaming_granular(
     TimelinessSampler& sampler, int rounds, ProcessId leader,
     const std::array<int, kNumModels>& needed, int start_points,

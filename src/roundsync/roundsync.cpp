@@ -11,7 +11,7 @@ RoundSyncRunner::RoundSyncRunner(Protocol& protocol, Oracle* oracle,
                                  Transport& transport, int n,
                                  RoundSyncConfig cfg)
     : protocol_(protocol), oracle_(oracle), transport_(transport), n_(n),
-      cfg_(std::move(cfg)) {
+      cfg_(std::move(cfg)), current_round_(cfg_.first_round) {
   TM_CHECK(n > 1, "round sync needs n > 1");
   if (cfg_.one_way_ms.empty()) {
     cfg_.one_way_ms.assign(static_cast<std::size_t>(n), 0.0);
@@ -21,6 +21,7 @@ RoundSyncRunner::RoundSyncRunner(Protocol& protocol, Oracle* oracle,
 }
 
 void RoundSyncRunner::receiver_loop() {
+  const Round end = cfg_.first_round + cfg_.max_rounds;
   Bytes buf;
   while (!stop_.load(std::memory_order_relaxed)) {
     ProcessId from = kNoProcess;
@@ -39,7 +40,8 @@ void RoundSyncRunner::receiver_loop() {
     if (!env) continue;
     if (env->sender != from || env->sender < 0 || env->sender >= n_) continue;
     std::lock_guard lk(mu_);
-    if (env->round < current_round_) continue;  // stale round; drop
+    // Stale, or outside this runner's round range; drop.
+    if (env->round < current_round_ || env->round >= end) continue;
     if (cfg_.adaptive) {
       // Arrival offset within the local round. Messages for FUTURE rounds
       // arrived before we even started that round - maximally timely -
@@ -100,18 +102,15 @@ RoundSyncResult RoundSyncRunner::run() {
   };
   SendSpec out = protocol_.initialize(hint(cfg_.first_round - 1));
 
+  const Round end = cfg_.first_round + cfg_.max_rounds;
   Round k = cfg_.first_round;
-  {
-    std::lock_guard lk(mu_);
-    current_round_ = k;
-  }
   auto base_timeout = [&] {
     return cfg_.adaptive ? cfg_.adaptive->timeout_ms() : cfg_.timeout_ms;
   };
   double duration_ms = base_timeout();
   int rounds_after_decide = 0;
 
-  while (result.rounds_executed < cfg_.max_rounds) {
+  while (k < end) {
     const double min_ms = base_timeout() * cfg_.min_duration_fraction;
     {
       std::lock_guard lk(mu_);
@@ -196,6 +195,7 @@ RoundSyncResult RoundSyncRunner::run() {
     out = protocol_.compute(k, row, hint(k));
     if (sp_on) spans->end(rs_id, span_kind::kRound, k);
     ++result.rounds_executed;
+    result.final_round = k;
     if (!was_decided && protocol_.has_decided()) {
       result.decided = true;
       result.decision = protocol_.decision();
@@ -203,13 +203,14 @@ RoundSyncResult RoundSyncRunner::run() {
     }
     if (protocol_.has_decided() &&
         ++rounds_after_decide > cfg_.linger_rounds_after_decide) {
-      result.final_round = k;
       break;
     }
 
     // Advance: jump to the future round (with the shortened duration from
-    // the paper) or step to k+1. The adaptive controller, when present,
-    // re-evaluates the base timeout at each boundary.
+    // the paper) or step to k+1; a jump target is always inside the
+    // range, as the receiver drops every envelope beyond it. The adaptive
+    // controller, when present, re-evaluates the base timeout at each
+    // boundary.
     const double next_base =
         cfg_.adaptive ? cfg_.adaptive->next_timeout_ms() : cfg_.timeout_ms;
     if (jump_to > k) {
@@ -221,7 +222,6 @@ RoundSyncResult RoundSyncRunner::run() {
       duration_ms = next_base;
       k = k + 1;
     }
-    result.final_round = k;
   }
 
   stop_.store(true, std::memory_order_relaxed);

@@ -35,11 +35,14 @@ namespace timing {
 
 struct RoundSyncConfig {
   double timeout_ms = 50.0;  ///< round duration (the experiments' knob)
-  int max_rounds = 1000;     ///< hard stop (counted in compute() calls)
-  /// First round number used on the wire. Successive consensus instances
-  /// sharing one transport should use disjoint, increasing ranges so that
-  /// a lingering DECIDE of instance k can never be mistaken for a
-  /// message of instance k+1 (stale rounds are dropped by the receiver).
+  int max_rounds = 1000;     ///< length of the round range (see first_round)
+  /// First round number used on the wire. The runner executes only rounds
+  /// in [first_round, first_round + max_rounds): it drops every envelope
+  /// stamped outside that range, never steps or fast-forwards past it,
+  /// and stops after its last round. Successive consensus instances
+  /// sharing one transport must use disjoint, increasing ranges so that
+  /// no message of instance k is taken for one of instance k+1, nor the
+  /// reverse (a straggler still in instance k never jumps into k+1).
   Round first_round = 1;
   /// L_i[j]: one-way latency estimates (ms), e.g. from measure_peer_rtts.
   /// Empty means all zero.
@@ -68,7 +71,7 @@ struct RoundSyncResult {
   Value decision = kNoValue;
   Round decision_round = -1;
   Round rounds_executed = 0;   ///< number of compute() calls
-  Round final_round = 0;       ///< last round number reached (with jumps)
+  Round final_round = 0;       ///< last round executed (with jumps)
   long long messages_sent = 0;
   long long fast_forwards = 0; ///< future-round jumps taken
   double elapsed_ms = 0.0;

@@ -54,11 +54,6 @@ class ChaosInstanceSampler final : public TimelinessSampler {
   void sample_round(Round k, PackedLinkMatrix& out) override {
     injected_.sample_round(k, out);
   }
-  FusedRoundEval sample_round_and_evaluate(Round k, ProcessId leader,
-                                           PackedLinkMatrix& out,
-                                           ColumnDeficits& cols) override {
-    return injected_.sample_round_and_evaluate(k, leader, out, cols);
-  }
 
  private:
   ScheduleSampler sampler_;

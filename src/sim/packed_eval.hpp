@@ -17,8 +17,8 @@
 // LinkMatrix predicates of models/predicates.hpp are its one
 // implementation.
 //
-// This header lives in sim/ so the fused sample-and-evaluate kernel of
-// sampler.cpp can use it; models/predicates.cpp wraps it behind the
+// This header lives in sim/ so sampler.hpp's evaluated round can use
+// it; models/predicates.cpp wraps it behind the
 // TimingModel enum (and static_asserts the bit order matches). The mask
 // bit layout is the canonical ES/LM/WLM/AFM order of obs/trace_event.hpp.
 #pragma once

@@ -7,63 +7,6 @@
 
 namespace timing {
 
-namespace {
-
-/// Streaming accumulator for the four failure-free predicates, fed cell
-/// by cell as a fused kernel samples a round. Mirrors packed_evaluate_mask
-/// exactly (differential-tested against the scalar predicates).
-struct MaskAccum {
-  int n = 0;
-  int maj = 0;
-  ProcessId leader = 0;
-  ColumnDeficits* cols = nullptr;
-  bool es = true;
-  bool rows_ok = true;
-  bool leader_col = true;
-  int leader_row_cnt = 0;
-  int cnt = 0;            // timely cells of the current row
-  bool leader_bit = false;
-
-  void begin(int n_in, ProcessId leader_in, ColumnDeficits& cols_in) {
-    n = n_in;
-    maj = majority_size(n_in);
-    leader = leader_in;
-    cols = &cols_in;
-    cols->reset(n_in);
-    es = rows_ok = leader_col = true;
-    leader_row_cnt = 0;
-  }
-  void begin_row() {
-    cnt = 0;
-    leader_bit = false;
-  }
-  void cell_timely(ProcessId src) {
-    ++cnt;
-    if (src == leader) leader_bit = true;
-  }
-  void cell_untimely(ProcessId src) { cols->bump(src); }
-  void end_row(ProcessId dst) {
-    es &= cnt == n;
-    rows_ok &= cnt >= maj;
-    leader_col &= leader_bit;
-    if (dst == leader) leader_row_cnt = cnt;
-  }
-  std::uint8_t finish() const {
-    bool cols_ok = true;
-    for (ProcessId src = 0; src < n; ++src) {
-      cols_ok &= n - cols->at(src) >= maj;
-    }
-    std::uint8_t mask = 0;
-    if (es) mask |= kPackedEsBit;
-    if (leader_col && rows_ok) mask |= kPackedLmBit;
-    if (leader_col && leader_row_cnt >= maj) mask |= kPackedWlmBit;
-    if (rows_ok && cols_ok) mask |= kPackedAfmBit;
-    return mask;
-  }
-};
-
-}  // namespace
-
 void TimelinessSampler::sample_round(Round k, PackedLinkMatrix& out) {
   // Generic fallback: sample through the scalar path (identical RNG
   // consumption) and pack. The scratch is per-thread and reused, so pool
@@ -157,46 +100,6 @@ void LatencyTimelinessSampler::sample_round(Round k, PackedLinkMatrix& out) {
   }
 }
 
-FusedRoundEval LatencyTimelinessSampler::sample_round_and_evaluate(
-    Round k, ProcessId leader, PackedLinkMatrix& out, ColumnDeficits& cols) {
-  model_.begin_round(k);
-  const int n = model_.n();
-  FusedRoundEval eval;
-  MaskAccum acc;
-  acc.begin(n, leader, cols);
-  for (ProcessId dst = 0; dst < n; ++dst) {
-    std::uint64_t* row = out.mutable_row_words(dst);
-    for (int w = 0; w < out.words_per_row(); ++w) row[w] = 0;
-    acc.begin_row();
-    for (ProcessId src = 0; src < n; ++src) {
-      if (src == dst) {
-        out.set_timely(dst, src);
-        acc.cell_timely(src);
-        continue;
-      }
-      const double ms = model_.sample_ms(src, dst);
-      if (sink_) sink_(src, dst, ms);
-      const Delay d = classify(ms);
-      if (d == 0) {
-        out.set_timely(dst, src);
-        acc.cell_timely(src);
-        ++eval.timely;
-      } else {
-        out.store_untimely(dst, src, d);
-        acc.cell_untimely(src);
-        if (d == kLost) {
-          ++eval.lost;
-        } else {
-          ++eval.late;
-        }
-      }
-    }
-    acc.end_row(dst);
-  }
-  eval.mask = acc.finish();
-  return eval;
-}
-
 IidTimelinessSampler::IidTimelinessSampler(int n, double p,
                                            std::uint64_t seed,
                                            double loss_share)
@@ -224,7 +127,7 @@ struct IidDraws {
 
   bool timely_draw() noexcept { return rng.bernoulli(timely); }
 
-  /// Late-or-lost fate, shared by all three entry points (keeps the RNG
+  /// Late-or-lost fate, shared by both entry points (keeps the RNG
   /// consumption identical across them).
   Delay untimely_fate() noexcept {
     if (rng.bernoulli(lost)) return kLost;
@@ -272,49 +175,6 @@ void IidTimelinessSampler::sample_round(Round, PackedLinkMatrix& out) {
     }
   }
   rng_ = dr.rng;
-}
-
-FusedRoundEval IidTimelinessSampler::sample_round_and_evaluate(
-    Round, ProcessId leader, PackedLinkMatrix& out, ColumnDeficits& cols) {
-  IidDraws dr{rng_, timely_, lost_};
-  constexpr int kBits = PackedLinkMatrix::kWordBits;
-  FusedRoundEval eval;
-  MaskAccum acc;
-  acc.begin(n_, leader, cols);
-  for (ProcessId dst = 0; dst < n_; ++dst) {
-    std::uint64_t* row = out.mutable_row_words(dst);
-    acc.begin_row();
-    for (int w = 0; w < out.words_per_row(); ++w) {
-      const ProcessId base = w * kBits;
-      const int bits = std::min(kBits, n_ - base);
-      std::uint64_t word = 0;
-      for (int b = 0; b < bits; ++b) {
-        const ProcessId src = base + b;
-        if (src == dst) {
-          word |= 1ULL << b;
-          acc.cell_timely(src);
-        } else if (dr.timely_draw()) {
-          word |= 1ULL << b;
-          acc.cell_timely(src);
-          ++eval.timely;
-        } else {
-          const Delay d = dr.untimely_fate();
-          out.store_untimely(dst, src, d);
-          acc.cell_untimely(src);
-          if (d == kLost) {
-            ++eval.lost;
-          } else {
-            ++eval.late;
-          }
-        }
-      }
-      row[w] = word;
-    }
-    acc.end_row(dst);
-  }
-  rng_ = dr.rng;
-  eval.mask = acc.finish();
-  return eval;
 }
 
 }  // namespace timing

@@ -10,22 +10,20 @@
 //    definitions to construct conforming/adversarial rounds).
 //
 // Every sampler also fills the packed bit-plane representation
-// (PackedLinkMatrix); the two concrete samplers here additionally provide
-// the fused sample-and-evaluate kernel: one pass that draws the round's
-// fates AND computes the four-model predicate bitmask, without touching
-// the int16 delay plane unless a late/lost fate is actually drawn. The
-// fused path consumes the RNG in exactly the per-cell order of the scalar
-// sample_round, so for the same sub-stream it reproduces the exact same
-// matrices (asserted by tests/predicate_kernel_test.cpp).
+// (PackedLinkMatrix); the two concrete samplers here fill the bit plane
+// directly and consume the RNG in exactly the per-cell order of the
+// scalar sample_round, so for the same sub-stream both entry points draw
+// the same matrices (asserted by tests/predicate_kernel_test.cpp). A
+// Monte-Carlo round is one packed sample_round followed by
+// packed_evaluate_mask (sim/packed_eval.hpp) and tally_fates.
 //
 // The Figure 1 timeout sweeps do not go through LatencyTimelinessSampler:
 // harness/measurement.hpp's measure_run_sweep draws each round's
 // latencies once and classifies them against every timeout with
-// classify_latency below, the same function the sampler uses. So the
-// fused latency kernel is no longer on the figure path; it runs under
-// measure_run_streaming (the sweep's differential oracle), the benches
-// and the kernel tests, while the live runners use the sampler's plain
-// entry points.
+// classify_latency below, the same function the sampler uses.
+//
+// TimelinessSampler's third virtual (below) and FusedRoundEval have no
+// caller in src/ and no override here; see the note on the virtual.
 #pragma once
 
 #include <cmath>
@@ -38,9 +36,9 @@
 
 namespace timing {
 
-/// Result of one fused sample-and-evaluate round: the packed predicate
-/// bitmask (kPackedEsBit.. order, equal to models/evaluate_all) plus the
-/// off-diagonal message-fate tallies of the round.
+/// One evaluated round: the packed predicate bitmask (kPackedEsBit..
+/// order, equal to models/evaluate_all) plus the off-diagonal
+/// message-fate tallies of the round (tally_fates).
 struct FusedRoundEval {
   std::uint8_t mask = 0;
   long long timely = 0;
@@ -61,12 +59,12 @@ class TimelinessSampler {
   /// concrete samplers below fill the bit plane directly.
   virtual void sample_round(Round k, PackedLinkMatrix& out);
 
-  /// Fused kernel: one pass that samples round k into `out` AND evaluates
-  /// the four failure-free model predicates for `leader`, tallying the
-  /// message fates. Default = packed sample_round + packed_evaluate_mask
-  /// + a complement scan for the tallies; IID and latency samplers fuse
-  /// the evaluation into the sampling loop itself. `cols` is reusable
-  /// scratch (see ColumnDeficits).
+  /// Packed sample_round, then packed_evaluate_mask for `leader` and
+  /// tally_fates; `cols` is reusable scratch (see ColumnDeficits). No
+  /// sampler overrides it and nothing in src/ calls it. It and
+  /// FusedRoundEval stay only because the frozen benchmark
+  /// (perfbench/trace.cpp) overrides and calls it; the benchmark change
+  /// of ROADMAP item 1(c) deletes both.
   virtual FusedRoundEval sample_round_and_evaluate(Round k, ProcessId leader,
                                                    PackedLinkMatrix& out,
                                                    ColumnDeficits& cols);
@@ -109,9 +107,6 @@ class LatencyTimelinessSampler final : public TimelinessSampler {
   int n() const noexcept override { return model_.n(); }
   void sample_round(Round k, LinkMatrix& out) override;
   void sample_round(Round k, PackedLinkMatrix& out) override;
-  FusedRoundEval sample_round_and_evaluate(Round k, ProcessId leader,
-                                           PackedLinkMatrix& out,
-                                           ColumnDeficits& cols) override;
 
   void set_latency_sink(LatencySink sink) { sink_ = std::move(sink); }
   double timeout_ms() const noexcept { return timeout_ms_; }
@@ -135,8 +130,8 @@ class LatencyTimelinessSampler final : public TimelinessSampler {
 /// each draw is an integer compare that decides exactly as
 /// `uniform() < p` does, so the matrices are the ones the floating-point
 /// form drew. Each entry point copies the generator into a local for the
-/// round and writes it back at the end; the packed entry points build
-/// every 64-bit row word in a register and store it once. The threshold
+/// round and writes it back at the end; the packed entry point builds
+/// every 64-bit row word in a register and stores it once. The threshold
 /// pays off only with the local copy: the matrix stores are uint64_t and
 /// may alias a member generator's uint64_t state, which would otherwise
 /// be reloaded and stored around every cell.
@@ -150,9 +145,6 @@ class IidTimelinessSampler final : public TimelinessSampler {
   int n() const noexcept override { return n_; }
   void sample_round(Round k, LinkMatrix& out) override;
   void sample_round(Round k, PackedLinkMatrix& out) override;
-  FusedRoundEval sample_round_and_evaluate(Round k, ProcessId leader,
-                                           PackedLinkMatrix& out,
-                                           ColumnDeficits& cols) override;
 
   /// The generator as the next round will start it (tests pin the RNG
   /// consumption of the entry points with it).

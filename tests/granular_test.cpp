@@ -376,7 +376,7 @@ TEST(GranularAnalysis, AsyncLinksDropOutOfConformanceTerms) {
 TEST(GranularMeasurement, AllSyncStreamingIsBitIdentical) {
   // Same sampler sub-stream, same start_rng: the granular streaming path
   // under an all-sync matrix must reproduce every StreamedRun field of
-  // the homogeneous fused path exactly.
+  // the homogeneous path exactly.
   const int n = 9;
   const std::array<int, kNumModels> needed{3, 3, 4, 5};
   IidTimelinessSampler s_homog(n, 0.9, 0x5eed);

@@ -224,7 +224,7 @@ TEST(Streaming, WindowTrackerMatchesDecisionStatsBitForBit) {
 
 TEST(Streaming, MeasureRunStreamingMatchesVectorPipeline) {
   // One (timeout, run) trial both ways: classic measure_run + incidence +
-  // decision_stats vs the fused streaming path, same sampler sub-stream,
+  // decision_stats vs the packed streaming path, same sampler sub-stream,
   // same start_rng. Everything must agree bit-for-bit — this is the
   // invariant that lets run_experiment use the fast path while keeping
   // the figure outputs byte-identical.

@@ -1,14 +1,15 @@
-// Differential tests for the packed predicate kernels and the fused
-// sample-and-evaluate path: the bit-plane implementations must agree
-// bit-for-bit with the scalar LinkMatrix oracles on randomized
-// failure-free matrices for every n in 1..65 (crossing the
-// one-word/two-word row boundary), both must be monotone in the matrix
-// (the scalar path under random crash masks too), and the fused samplers
-// must reproduce the exact matrices of the scalar sample_round for the
+// Differential tests for the packed predicate kernels and the packed
+// sampling path: the bit-plane implementations must agree bit-for-bit
+// with the scalar LinkMatrix oracles on randomized failure-free matrices
+// for every n in 1..65 (crossing the one-word/two-word row boundary),
+// both must be monotone in the matrix (the scalar path under random
+// crash masks too), and the packed samplers must reproduce the exact
+// matrices, masks and fate counts of the scalar sample_round for the
 // same RNG sub-stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -186,105 +187,89 @@ void expect_same_next_draw(const IidTimelinessSampler& want,
   ASSERT_EQ(a.next(), b.next());
 }
 
-TEST(FusedKernel, IidPackedSampleMatchesScalarSubstream) {
-  for (const int n : kIidSizes) {
-    for (const double p : kIidProbs) {
-      SCOPED_TRACE(::testing::Message() << "n=" << n << " p=" << p);
-      IidTimelinessSampler scalar(n, p, 0xabcdULL);
-      IidTimelinessSampler packed(n, p, 0xabcdULL);
-      LinkMatrix a(n);
-      PackedLinkMatrix q(n);
-      for (Round k = 1; k <= kIidRounds; ++k) {
-        scalar.sample_round(k, a);
-        packed.sample_round(k, q);
-        expect_same_matrix(a, q);
-        expect_zero_tails(q);
-        expect_same_next_draw(scalar, packed);
-      }
+/// One Monte-Carlo round on the packed path (the sampled `q`, then
+/// packed_evaluate_mask and tally_fates) must give evaluate_all of the
+/// scalar matrix `a` and a scalar count of its off-diagonal fates.
+void expect_packed_round_matches_scalar(const LinkMatrix& a,
+                                        const PackedLinkMatrix& q,
+                                        ProcessId leader,
+                                        ColumnDeficits& cols) {
+  FusedRoundEval e;
+  e.mask = packed_evaluate_mask(q, leader, cols);
+  tally_fates(q, e);
+  EXPECT_EQ(e.mask, evaluate_all(a, leader));
+  long long timely = 0, late = 0, lost = 0;
+  for (ProcessId d = 0; d < a.n(); ++d) {
+    for (ProcessId s = 0; s < a.n(); ++s) {
+      if (s == d) continue;
+      const Delay f = a.at(d, s);
+      if (f == 0) ++timely;
+      else if (f == kLost) ++lost;
+      else ++late;
     }
   }
+  EXPECT_EQ(e.timely, timely);
+  EXPECT_EQ(e.late, late);
+  EXPECT_EQ(e.lost, lost);
 }
 
-TEST(FusedKernel, IidFusedReproducesScalarMatricesAndMask) {
+TEST(PackedSampler, IidPackedRoundReproducesScalarMatricesAndMask) {
   for (const int n : kIidSizes) {
     for (const double p : kIidProbs) {
       SCOPED_TRACE(::testing::Message() << "n=" << n << " p=" << p);
       IidTimelinessSampler scalar(n, p, 0x1234ULL);
-      IidTimelinessSampler fused(n, p, 0x1234ULL);
+      IidTimelinessSampler packed(n, p, 0x1234ULL);
       LinkMatrix a(n);
       PackedLinkMatrix q(n);
       ColumnDeficits cols;
       const ProcessId leader = n > 2 ? 2 : 0;
       for (Round k = 1; k <= kIidRounds; ++k) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k);
         scalar.sample_round(k, a);
-        const FusedRoundEval e =
-            fused.sample_round_and_evaluate(k, leader, q, cols);
+        packed.sample_round(k, q);
         expect_same_matrix(a, q);
         expect_zero_tails(q);
-        expect_same_next_draw(scalar, fused);
-        EXPECT_EQ(e.mask, evaluate_all(a, leader)) << "k=" << k;
-        // Fate tallies must match a scalar count over the off-diagonal.
-        long long timely = 0, late = 0, lost = 0;
-        for (ProcessId d = 0; d < n; ++d) {
-          for (ProcessId s = 0; s < n; ++s) {
-            if (s == d) continue;
-            const Delay f = a.at(d, s);
-            if (f == 0) ++timely;
-            else if (f == kLost) ++lost;
-            else ++late;
-          }
-        }
-        EXPECT_EQ(e.timely, timely);
-        EXPECT_EQ(e.late, late);
-        EXPECT_EQ(e.lost, lost);
+        expect_same_next_draw(scalar, packed);
+        expect_packed_round_matches_scalar(a, q, leader, cols);
       }
     }
   }
 }
 
-TEST(FusedKernel, LatencyFusedReproducesScalarMatricesAndMask) {
-  // WAN (fixed 8 sites) and a larger LAN group.
-  WanProfile wan;
-  WanLatencyModel wan_scalar(wan, 77);
-  WanLatencyModel wan_fused(wan, 77);
+TEST(PackedSampler, LatencyPackedRoundReproducesScalarMatricesAndMask) {
+  // WAN (fixed 8 sites) and a larger LAN group, each at a timeout that
+  // leaves most messages timely and at one that makes them late; at
+  // WAN t=1 floor(ms/t) > 64 makes messages lost.
   LanProfile lan;
   lan.n = 16;
-  LanLatencyModel lan_scalar(lan, 78);
-  LanLatencyModel lan_fused(lan, 78);
-  const std::pair<LatencyModel*, LatencyModel*> pairs[] = {
-      {&wan_scalar, &wan_fused}, {&lan_scalar, &lan_fused}};
-  for (const auto& [scalar_model, fused_model] : pairs) {
+  const std::pair<bool, double> cases[] = {
+      {true, 1.0}, {true, 140.0}, {true, 170.0}, {false, 0.05}, {false, 170.0}};
+  for (const auto& [is_wan, timeout] : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << (is_wan ? "WAN" : "LAN") << " timeout=" << timeout);
+    const auto make_model = [&]() -> std::unique_ptr<LatencyModel> {
+      if (is_wan) return std::make_unique<WanLatencyModel>(WanProfile{}, 77);
+      return std::make_unique<LanLatencyModel>(lan, 78);
+    };
+    const auto scalar_model = make_model();
+    const auto packed_model = make_model();
     const int n = scalar_model->n();
-    LatencyTimelinessSampler scalar(*scalar_model, 170.0);
-    LatencyTimelinessSampler fused(*fused_model, 170.0);
+    LatencyTimelinessSampler scalar(*scalar_model, timeout);
+    LatencyTimelinessSampler packed(*packed_model, timeout);
     LinkMatrix a(n);
     PackedLinkMatrix q(n);
     ColumnDeficits cols;
     for (Round k = 1; k <= 10; ++k) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k);
       scalar.sample_round(k, a);
-      const FusedRoundEval e = fused.sample_round_and_evaluate(k, 0, q, cols);
+      packed.sample_round(k, q);
       expect_same_matrix(a, q);
-      EXPECT_EQ(e.mask, evaluate_all(a, 0)) << "n=" << n << " k=" << k;
+      expect_packed_round_matches_scalar(a, q, 0, cols);
     }
   }
 }
 
-TEST(FusedKernel, LatencyPackedSampleMatchesScalarSubstream) {
-  WanProfile profile;
-  WanLatencyModel scalar_model(profile, 5);
-  WanLatencyModel packed_model(profile, 5);
-  LatencyTimelinessSampler scalar(scalar_model, 140.0);
-  LatencyTimelinessSampler packed(packed_model, 140.0);
-  LinkMatrix a(scalar.n());
-  PackedLinkMatrix q(scalar.n());
-  for (Round k = 1; k <= 10; ++k) {
-    scalar.sample_round(k, a);
-    packed.sample_round(k, q);
-    expect_same_matrix(a, q);
-  }
-}
-
-TEST(FusedKernel, ScheduleSamplerPackedFallbackMatchesScalar) {
+TEST(PackedSampler, ScheduleSamplerPackedFallbackMatchesScalar) {
   ScheduleConfig cfg;
   cfg.n = 7;
   cfg.model = TimingModel::kWlm;
@@ -297,30 +282,6 @@ TEST(FusedKernel, ScheduleSamplerPackedFallbackMatchesScalar) {
     scalar.sample_round(k, a);
     packed.sample_round(k, q);  // base-class packed fallback
     expect_same_matrix(a, q);
-  }
-}
-
-TEST(FusedKernel, DefaultFusedPathMatchesDirectKernels) {
-  // The base-class sample_round_and_evaluate (packed sample + separate
-  // evaluate + tally) must agree with the overridden fused loops.
-  const int n = 9;
-  IidTimelinessSampler direct(n, 0.8, 42);
-  IidTimelinessSampler via_base(n, 0.8, 42);
-  PackedLinkMatrix q1(n), q2(n);
-  ColumnDeficits c1, c2;
-  for (Round k = 1; k <= 8; ++k) {
-    const FusedRoundEval a = direct.sample_round_and_evaluate(k, 1, q1, c1);
-    const FusedRoundEval b =
-        via_base.TimelinessSampler::sample_round_and_evaluate(k, 1, q2, c2);
-    EXPECT_EQ(a.mask, b.mask);
-    EXPECT_EQ(a.timely, b.timely);
-    EXPECT_EQ(a.late, b.late);
-    EXPECT_EQ(a.lost, b.lost);
-    for (ProcessId d = 0; d < n; ++d) {
-      for (ProcessId s = 0; s < n; ++s) {
-        ASSERT_EQ(q1.at(d, s), q2.at(d, s));
-      }
-    }
   }
 }
 

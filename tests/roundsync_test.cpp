@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "consensus/factory.hpp"
+#include "net/frame.hpp"
 #include "net/transport.hpp"
 #include "oracles/omega.hpp"
 #include "roundsync/roundsync.hpp"
@@ -192,22 +193,25 @@ TEST(RoundSync, ReportsProgressMetrics) {
   }
 }
 
+/// A protocol that never decides, so its runner uses its whole range.
+class NeverDecides final : public Protocol {
+ public:
+  explicit NeverDecides(int n) : n_(n) {}
+  SendSpec initialize(ProcessId) override {
+    return {Message{}, SendSpec::all(n_)};
+  }
+  SendSpec compute(Round, const RoundMsgs&, ProcessId) override {
+    return {Message{}, SendSpec::all(n_)};
+  }
+  bool has_decided() const noexcept override { return false; }
+  Value decision() const noexcept override { return kNoValue; }
+
+ private:
+  int n_;
+};
+
 TEST(RoundSync, HonoursMaxRounds) {
-  // A protocol that never decides must stop at max_rounds.
-  class NeverDecides final : public Protocol {
-   public:
-    explicit NeverDecides(int n) : n_(n) {}
-    SendSpec initialize(ProcessId) override {
-      return {Message{}, SendSpec::all(n_)};
-    }
-    SendSpec compute(Round, const RoundMsgs&, ProcessId) override {
-      return {Message{}, SendSpec::all(n_)};
-    }
-    bool has_decided() const noexcept override { return false; }
-    Value decision() const noexcept override { return kNoValue; }
-   private:
-    int n_;
-  };
+  // A protocol that never decides must stop at the end of its range.
   auto hub = std::make_shared<InProcHub>(2);
   std::vector<std::thread> threads;
   std::vector<RoundSyncResult> results(2);
@@ -225,8 +229,53 @@ TEST(RoundSync, HonoursMaxRounds) {
   for (auto& t : threads) t.join();
   for (const auto& r : results) {
     EXPECT_FALSE(r.decided);
-    EXPECT_EQ(r.rounds_executed, 20);
+    // A node that fast-forwards skips rounds, so it may compute fewer
+    // than 20 times, but it always ends on the range's last round.
+    EXPECT_GE(r.rounds_executed, 1);
+    EXPECT_LE(r.rounds_executed, 20);
+    EXPECT_EQ(r.final_round, 20);
   }
+}
+
+/// Runs node 0 of a two-node hub alone over rounds [1, 21) after node 1
+/// has posted one envelope stamped `stamped_round`.
+RoundSyncResult run_after_envelope_from_peer(Round stamped_round) {
+  auto hub = std::make_shared<InProcHub>(2);
+  InProcTransport peer(hub, 1);
+  Bytes wire;
+  frame_envelope(Envelope{stamped_round, 1, Message{}}, wire);
+  peer.send(0, wire);
+
+  NeverDecides protocol(2);
+  InProcTransport transport(hub, 0);
+  RoundSyncConfig cfg;
+  cfg.timeout_ms = 10.0;
+  cfg.max_rounds = 20;
+  cfg.first_round = 1;
+  return RoundSyncRunner(protocol, nullptr, transport, 2, cfg).run();
+}
+
+TEST(RoundSync, DropsEnvelopesBeyondItsRoundRange) {
+  // A straggler still in one instance must not jump into the next
+  // instance's rounds: an envelope at or past first_round + max_rounds
+  // is dropped, and the runner steps through its own range.
+  for (const Round stamped : {Round{21}, Round{100001}}) {
+    SCOPED_TRACE(::testing::Message() << "stamped round " << stamped);
+    const RoundSyncResult r = run_after_envelope_from_peer(stamped);
+    EXPECT_EQ(r.fast_forwards, 0);
+    EXPECT_EQ(r.rounds_executed, 20);
+    EXPECT_EQ(r.final_round, 20);
+  }
+}
+
+TEST(RoundSync, FastForwardsWithinItsRangeAndStopsAtItsEnd) {
+  // A future round inside the range still ends the current round early;
+  // after the jump the runner steps on and stops at the range's end
+  // rather than running max_rounds compute() calls.
+  const RoundSyncResult r = run_after_envelope_from_peer(10);
+  EXPECT_EQ(r.fast_forwards, 1);
+  EXPECT_EQ(r.final_round, 20);
+  EXPECT_LT(r.rounds_executed, 20);
 }
 
 }  // namespace

@@ -275,18 +275,7 @@ ChaosRunResult run_chaos_algorithm(AlgorithmKind kind,
   // Permanent (never-recovered) crashes stop the process itself, not
   // just its links: the engine halts it and the post-gsr schedule repair
   // draws its forced majorities from survivors.
-  std::vector<Round> crash_rounds(static_cast<std::size_t>(n), 0);
-  {
-    std::vector<Round> open(static_cast<std::size_t>(n), 0);
-    for (const FaultEvent& e : cfg.plan.events) {
-      if (e.kind == FaultKind::kCrash) {
-        open[static_cast<std::size_t>(e.proc)] = e.from;
-      } else if (e.kind == FaultKind::kRecover) {
-        open[static_cast<std::size_t>(e.proc)] = 0;
-      }
-    }
-    crash_rounds = open;
-  }
+  const std::vector<Round> crash_rounds = cfg.plan.crash_rounds(n);
 
   auto protocols = make_group(kind, proposals);
   auto oracle = std::make_shared<UnstableOracle>(

@@ -91,6 +91,18 @@ std::string FaultPlan::spec() const {
   return out;
 }
 
+std::vector<Round> FaultPlan::crash_rounds(int n) const {
+  std::vector<Round> out(static_cast<std::size_t>(n), 0);
+  for (const FaultEvent& e : events) {
+    if (e.kind == FaultKind::kCrash) {
+      out[static_cast<std::size_t>(e.proc)] = e.from;
+    } else if (e.kind == FaultKind::kRecover) {
+      out[static_cast<std::size_t>(e.proc)] = 0;
+    }
+  }
+  return out;
+}
+
 namespace {
 
 bool windowed(FaultKind k) noexcept {

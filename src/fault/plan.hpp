@@ -85,6 +85,12 @@ struct FaultPlan {
 
   /// Canonical one-statement-per-line text; parses back to this plan.
   std::string spec() const;
+
+  /// Crash round per process 0..n-1 (0 = never) from the crash/recover
+  /// events: a process whose last such event is a recover counts as
+  /// never crashed, which is what the schedule's correct-majority
+  /// bookkeeping and the engine's crash_at need.
+  std::vector<Round> crash_rounds(int n) const;
 };
 
 /// Structural validation with event-accurate messages; "" when valid.

@@ -172,17 +172,7 @@ int run_smr_throughput(const ScenarioSpec& spec, const RunContext& ctx) {
                 spec, timeout_ms, substream_seed(attempt_seed, 1),
                 have_fixed ? &fixed : nullptr,
                 substream_seed(attempt_seed, 2), leader);
-            if (have_fixed) {
-              env.crash_rounds.assign(static_cast<std::size_t>(spec.n), 0);
-              for (const fault::FaultEvent& e : fixed.events) {
-                if (e.kind == fault::FaultKind::kCrash) {
-                  env.crash_rounds[static_cast<std::size_t>(e.proc)] =
-                      e.from;
-                } else if (e.kind == fault::FaultKind::kRecover) {
-                  env.crash_rounds[static_cast<std::size_t>(e.proc)] = 0;
-                }
-              }
-            }
+            if (have_fixed) env.crash_rounds = fixed.crash_rounds(spec.n);
             return env;
           };
           ReplicatedLog rlog(lcfg, std::move(machines), env_of);

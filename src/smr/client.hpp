@@ -1,9 +1,15 @@
-// Client harness for the linearizability experiments (docs/HISTORY.md):
-// a population of closed-loop clients driving register/append operations
-// through an engine-based SmrGroup, recording the invoke/ok/fail/info
-// history that src/history/ checks.
+// Client harnesses for the linearizability experiments (docs/HISTORY.md):
+// one population of closed-loop clients driving register/append
+// operations and recording the invoke/ok/fail/info history that
+// src/history/ checks. The population (op choice, op/queue/commit spans
+// with their latency records, completions, probe reads, final readback)
+// is shared; two drive loops feed it: run_smr_clients runs one SmrGroup
+// instance at a time, run_pipelined_smr_clients submits to a
+// ReplicatedLog.
 //
-// Completion semantics (the soundness contract the checker relies on):
+// Completion semantics of the serialized loop (the soundness contract
+// the checker relies on; the pipelined loop's are listed at its entry
+// point):
 //  * ok   — the client's command was the instance's decided value; the
 //           observed result is read back from a replica that applied it.
 //  * fail — the command was proposed into a decided instance and LOST.
@@ -77,16 +83,6 @@ struct SmrClientConfig {
   /// "op.queue_ns", using the very timestamps the span events carry —
   /// so an offline rebuild from the trace matches this registry exactly.
   MetricsRegistry* metrics = nullptr;
-};
-
-/// Network environment for one consensus instance. The factory keeps the
-/// harness free of any fault/model dependency: the caller decides what
-/// the network does (random_fault_plan injection for the chaos gate,
-/// fault-free samplers for the probe phase).
-struct InstanceEnv {
-  std::unique_ptr<TimelinessSampler> sampler;
-  std::vector<Round> crash_rounds;  ///< empty = no crashes
-  int max_rounds = -1;              ///< -1 = the group default
 };
 
 /// Called with the running instance index: 0..cfg.instances-1 are the

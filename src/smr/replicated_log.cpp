@@ -1,8 +1,6 @@
 #include "smr/replicated_log.hpp"
 
 #include "common/check.hpp"
-#include "oracles/omega.hpp"
-#include "smr/smr.hpp"
 
 namespace timing {
 
@@ -33,18 +31,14 @@ ReplicatedLog::ReplicatedLog(
     ReplicatedLogConfig cfg,
     std::vector<std::unique_ptr<StateMachine>> machines,
     SlotEnvFactory env_of)
-    : cfg_(cfg), machines_(std::move(machines)), env_of_(std::move(env_of)) {
-  TM_CHECK(static_cast<int>(machines_.size()) == cfg_.n,
-           "one state machine per replica");
-  TM_CHECK(cfg_.n > 1, "replication needs n > 1");
-  for (const auto& m : machines_) TM_CHECK(m != nullptr, "null machine");
+    : Replicas(cfg.n, std::move(machines)),
+      cfg_(cfg),
+      env_of_(std::move(env_of)) {
   TM_CHECK(cfg_.pipeline >= 1, "pipeline must be >= 1");
   TM_CHECK(cfg_.batch >= 1, "batch must be >= 1");
   TM_CHECK(cfg_.flush_ticks >= 1, "flush_ticks must be >= 1");
   TM_CHECK(cfg_.max_attempts_per_slot >= 1, "need at least one attempt");
   TM_CHECK(env_of_ != nullptr, "slot env factory required");
-  applied_.assign(machines_.size(), 0);
-  last_applied_.assign(machines_.size(), true);
 }
 
 ReplicatedLog::~ReplicatedLog() = default;
@@ -107,35 +101,13 @@ void ReplicatedLog::start_attempt(Flight& f) {
   // auto-resizes (the latency testbeds write into the given shape).
   if (f.fates.n() != cfg_.n) f.fates = PackedLinkMatrix(cfg_.n);
 
-  const Value decree = slot_decree(f.rec.slot);
-  std::vector<std::unique_ptr<Protocol>> group;
-  for (ProcessId i = 0; i < cfg_.n; ++i) {
-    group.push_back(make_smr_protocol(cfg_.algorithm, i, cfg_.n, decree,
-                                      cfg_.use_election));
-  }
-  std::shared_ptr<Oracle> oracle;
-  if (!cfg_.use_election) {
-    oracle = std::make_shared<DesignatedOracle>(cfg_.leader);
-  }
-  f.engine = std::make_unique<RoundEngine>(std::move(group), oracle);
-
-  const int ordinal = instances_run_++;
-  const bool sp_on = cfg_.spans != nullptr && cfg_.spans->enabled();
-  if (sp_on) {
-    f.inst_span = make_span_id(span_kind::kInstance,
-                               static_cast<std::uint64_t>(ordinal));
-    cfg_.spans->begin(f.inst_span, f.slot_span, span_kind::kInstance);
-    f.engine->set_span_tracer(cfg_.spans, f.inst_span,
-                              static_cast<std::uint32_t>(ordinal));
-  }
-  if (!env.crash_rounds.empty()) {
-    TM_CHECK(static_cast<int>(env.crash_rounds.size()) == cfg_.n,
-             "one crash entry per replica");
-    for (ProcessId i = 0; i < cfg_.n; ++i) {
-      const Round at = env.crash_rounds[static_cast<std::size_t>(i)];
-      if (at > 0) f.engine->crash_at(i, at);
-    }
-  }
+  SmrEngine inst = make_smr_engine(
+      cfg_,
+      std::vector<Command>(static_cast<std::size_t>(cfg_.n),
+                           slot_decree(f.rec.slot)),
+      env.crash_rounds, cfg_.spans, instances_run_++, f.slot_span);
+  f.engine = std::move(inst.engine);
+  f.inst_span = inst.span;
 }
 
 void ReplicatedLog::start_ready_slots() {
@@ -211,19 +183,10 @@ void ReplicatedLog::commit_in_order() {
                                        static_cast<std::uint64_t>(rec.slot)),
                           f.slot_span, span_kind::kApply);
       }
-      for (const LogOp& op : rec.ops) log_.push_back(op.cmd);
-      for (ProcessId i = 0; i < cfg_.n; ++i) {
-        if (!rec.applied[static_cast<std::size_t>(i)]) continue;
-        // Log replay on recovery: a replica crashed for earlier slots
-        // catches up on the whole suffix before this slot's commands.
-        std::size_t& upto = applied_[static_cast<std::size_t>(i)];
-        while (upto < log_.size()) {
-          machines_[static_cast<std::size_t>(i)]->apply(log_[upto]);
-          ++upto;
-        }
-      }
-      last_applied_ = rec.applied;
-      ++slots_committed_;
+      std::vector<Command> cmds;
+      cmds.reserve(rec.ops.size());
+      for (const LogOp& op : rec.ops) cmds.push_back(op.cmd);
+      commit(cmds, rec.applied);
       if (sp_on) {
         cfg_.spans->end(make_span_id(span_kind::kApply,
                                      static_cast<std::uint64_t>(rec.slot)),
@@ -258,30 +221,6 @@ std::vector<SlotRecord> ReplicatedLog::take_committed() {
   std::vector<SlotRecord> out = std::move(committed_);
   committed_.clear();
   return out;
-}
-
-bool ReplicatedLog::consistent() const {
-  return consistent_among(std::vector<bool>(machines_.size(), true));
-}
-
-bool ReplicatedLog::consistent_among(const std::vector<bool>& include) const {
-  std::uint64_t reference = 0;
-  bool have_reference = false;
-  for (std::size_t i = 0; i < machines_.size(); ++i) {
-    if (!include[i]) continue;
-    const std::uint64_t f = machines_[i]->fingerprint();
-    if (!have_reference) {
-      reference = f;
-      have_reference = true;
-    } else if (f != reference) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<bool> ReplicatedLog::alive_at_end() const {
-  return last_applied_;
 }
 
 }  // namespace timing

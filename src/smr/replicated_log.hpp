@@ -1,5 +1,6 @@
-// Pipelined, batched multi-decree replication (ROADMAP open item 1):
-// the throughput-shaped form of src/smr/. Where SmrGroup runs one
+// Pipelined, batched multi-decree replication: the throughput-shaped
+// drive loop over the replica core of smr/smr.hpp (the Replicas state and
+// make_smr_engine, shared with SmrGroup). Where SmrGroup runs one
 // consensus instance to completion before starting the next,
 // ReplicatedLog keeps up to `pipeline` instances in flight on one
 // shared tick timeline — every tick() advances EVERY in-flight
@@ -14,8 +15,8 @@
 // from the slot's own record. Slots may DECIDE out of order — a later
 // slot's instance can finish while an earlier one retries — but they
 // COMMIT strictly in slot order behind a gap-aware commit index, so
-// every replica applies the same command sequence (the same
-// log-replay-on-recovery bookkeeping as SmrGroup).
+// every replica applies the same command sequence (through the same
+// Replicas log replay on recovery as SmrGroup).
 //
 // This is the engine-based analogue of Nerio-style edict ordering: one
 // stable leader drives many overlapped decrees, and the paper's
@@ -29,25 +30,18 @@
 #include <memory>
 #include <vector>
 
-#include "consensus/factory.hpp"
 #include "giraf/engine.hpp"
 #include "obs/span.hpp"
-#include "sim/sampler.hpp"
-#include "smr/state_machine.hpp"
+#include "smr/smr.hpp"
 
 namespace timing {
 
-struct ReplicatedLogConfig {
-  int n = 5;
-  AlgorithmKind algorithm = AlgorithmKind::kWlm;
-  ProcessId leader = 0;       ///< designated leader (ignored with election)
-  bool use_election = false;  ///< wrap protocols in OmegaElection
+struct ReplicatedLogConfig : SmrEngineConfig {
   int pipeline = 8;           ///< max consensus instances in flight
   int batch = 4;              ///< max commands per decree
   /// A non-empty open batch is sealed after waiting this many ticks even
   /// if it never fills (the flush deadline).
   int flush_ticks = 2;
-  int max_rounds_per_instance = 500;
   /// Attempts per slot before the slot's commands are abandoned (each
   /// attempt gets a fresh environment from the factory).
   int max_attempts_per_slot = 8;
@@ -58,15 +52,9 @@ struct ReplicatedLogConfig {
   SpanTracer* spans = nullptr;
 };
 
-/// Network environment for one attempt of one slot's consensus instance.
-/// Mirrors smr/client.hpp's InstanceEnv: the caller decides what the
-/// network does per (slot, attempt).
-struct SlotEnv {
-  std::unique_ptr<TimelinessSampler> sampler;
-  std::vector<Round> crash_rounds;  ///< empty = no crashes
-  int max_rounds = -1;              ///< -1 = the config default
-};
-
+/// Network environment for one attempt of one slot's consensus instance:
+/// the caller decides what the network does per (slot, attempt).
+using SlotEnv = InstanceEnv;
 using SlotEnvFactory = std::function<SlotEnv(int slot, int attempt)>;
 
 /// One command riding a slot, as the caller submitted it.
@@ -91,7 +79,7 @@ struct SlotRecord {
   std::vector<bool> applied;
 };
 
-class ReplicatedLog {
+class ReplicatedLog : public Replicas {
  public:
   /// One state machine per replica (machines.size() == cfg.n).
   ReplicatedLog(ReplicatedLogConfig cfg,
@@ -117,7 +105,7 @@ class ReplicatedLog {
 
   long long now() const noexcept { return tick_; }
   int slots_started() const noexcept { return next_slot_; }
-  int slots_committed() const noexcept { return slots_committed_; }
+  int slots_committed() const noexcept { return commits(); }
   int slots_abandoned() const noexcept { return slots_abandoned_; }
   /// Instances in flight right now (<= cfg.pipeline).
   int in_flight() const noexcept { return static_cast<int>(flight_.size()); }
@@ -125,21 +113,6 @@ class ReplicatedLog {
   /// Committed/abandoned slot records accumulated since the last call,
   /// in commit order (the caller drains them between ticks).
   std::vector<SlotRecord> take_committed();
-
-  /// The flattened decided command log (every committed slot's ops, in
-  /// commit order).
-  const std::vector<Command>& log() const noexcept { return log_; }
-  const StateMachine& machine(ProcessId i) const { return *machines_[i]; }
-
-  /// True iff all replicas' fingerprints agree. A replica that was
-  /// crashed at its last slot's decision is legitimately BEHIND, not
-  /// divergent — use consistent_among(alive_at_end()) for runs that end
-  /// with crashed replicas.
-  bool consistent() const;
-  bool consistent_among(const std::vector<bool>& include) const;
-  /// Which replicas applied the full log at the last committed slot
-  /// (all true before anything committed).
-  std::vector<bool> alive_at_end() const;
 
  private:
   struct Flight;  // one in-flight slot (engine + env + bookkeeping)
@@ -151,7 +124,6 @@ class ReplicatedLog {
   void commit_in_order();
 
   ReplicatedLogConfig cfg_;
-  std::vector<std::unique_ptr<StateMachine>> machines_;
   SlotEnvFactory env_of_;
   long long tick_ = 0;
 
@@ -161,13 +133,9 @@ class ReplicatedLog {
   std::deque<SlotRecord> sealed_;    ///< sealed batches awaiting a pipeline slot
   std::deque<std::unique_ptr<Flight>> flight_;  ///< in flight, slot order
 
-  std::vector<Command> log_;          ///< flattened committed commands
-  std::vector<std::size_t> applied_;  ///< per replica: log prefix applied
-  std::vector<bool> last_applied_;    ///< appliers of the last commit
   std::vector<SlotRecord> committed_; ///< drained by take_committed()
   int next_slot_ = 0;        ///< next slot ordinal (== batches opened)
   int commit_index_ = 0;     ///< lowest slot not yet committed/abandoned
-  int slots_committed_ = 0;
   int slots_abandoned_ = 0;
   int instances_run_ = 0;    ///< instance span ordinal across attempts
 };

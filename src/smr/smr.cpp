@@ -49,96 +49,73 @@ Round smr_first_round(int inst, Round instance_round_stride) {
   return static_cast<Round>(first);
 }
 
-SmrGroup::SmrGroup(SmrGroupConfig cfg,
-                   std::vector<std::unique_ptr<StateMachine>> machines)
-    : cfg_(cfg), machines_(std::move(machines)) {
-  TM_CHECK(static_cast<int>(machines_.size()) == cfg_.n,
-           "one state machine per replica");
-  TM_CHECK(cfg_.n > 1, "replication needs n > 1");
-  for (const auto& m : machines_) TM_CHECK(m != nullptr, "null machine");
-  applied_.assign(machines_.size(), 0);
-}
-
-SmrInstanceResult SmrGroup::run_instance(
-    const std::vector<Command>& proposals, TimelinessSampler& network,
-    const std::vector<Round>* crash_rounds, int max_rounds) {
-  TM_CHECK(static_cast<int>(proposals.size()) == cfg_.n,
+SmrEngine make_smr_engine(const SmrEngineConfig& cfg,
+                          const std::vector<Command>& proposals,
+                          const std::vector<Round>& crash_rounds,
+                          SpanTracer* spans, int ordinal,
+                          std::uint64_t parent_span) {
+  TM_CHECK(static_cast<int>(proposals.size()) == cfg.n,
            "one proposal per replica");
   std::vector<std::unique_ptr<Protocol>> group;
-  for (ProcessId i = 0; i < cfg_.n; ++i) {
-    group.push_back(make_smr_protocol(cfg_.algorithm, i, cfg_.n,
+  for (ProcessId i = 0; i < cfg.n; ++i) {
+    group.push_back(make_smr_protocol(cfg.algorithm, i, cfg.n,
                                       proposals[static_cast<std::size_t>(i)],
-                                      cfg_.use_election));
+                                      cfg.use_election));
   }
   std::shared_ptr<Oracle> oracle;
-  if (!cfg_.use_election) {
-    oracle = std::make_shared<DesignatedOracle>(cfg_.leader);
+  if (!cfg.use_election) {
+    oracle = std::make_shared<DesignatedOracle>(cfg.leader);
   }
-  const int ordinal = instances_run_++;
-  const bool sp_on = spans_ != nullptr && spans_->enabled();
-  const std::uint64_t inst_span =
-      sp_on ? make_span_id(span_kind::kInstance,
-                           static_cast<std::uint64_t>(ordinal))
-            : 0;
-  if (sp_on) spans_->begin(inst_span, 0, span_kind::kInstance);
-
-  RoundEngine engine(std::move(group), oracle);
-  if (sp_on) {
-    engine.set_span_tracer(spans_, inst_span,
-                           static_cast<std::uint32_t>(ordinal));
+  SmrEngine out;
+  if (spans != nullptr && spans->enabled()) {
+    out.span = make_span_id(span_kind::kInstance,
+                            static_cast<std::uint64_t>(ordinal));
+    spans->begin(out.span, parent_span, span_kind::kInstance);
   }
-  if (crash_rounds != nullptr) {
-    TM_CHECK(static_cast<int>(crash_rounds->size()) == cfg_.n,
+  out.engine = std::make_unique<RoundEngine>(std::move(group), oracle);
+  if (out.span != 0) {
+    out.engine->set_span_tracer(spans, out.span,
+                                static_cast<std::uint32_t>(ordinal));
+  }
+  if (!crash_rounds.empty()) {
+    TM_CHECK(static_cast<int>(crash_rounds.size()) == cfg.n,
              "one crash entry per replica");
-    for (ProcessId i = 0; i < cfg_.n; ++i) {
-      const Round at = (*crash_rounds)[static_cast<std::size_t>(i)];
-      if (at > 0) engine.crash_at(i, at);
+    for (ProcessId i = 0; i < cfg.n; ++i) {
+      const Round at = crash_rounds[static_cast<std::size_t>(i)];
+      if (at > 0) out.engine->crash_at(i, at);
     }
   }
-  const Round decided = engine.run(
-      network, max_rounds < 0 ? cfg_.max_rounds_per_instance : max_rounds);
-
-  SmrInstanceResult result;
-  result.rounds = engine.current_round();
-  if (decided < 0) {
-    if (sp_on) spans_->end(inst_span, span_kind::kInstance);
-    return result;  // nothing applied anywhere
-  }
-
-  result.decided = true;
-  const Value agreed = smr_agreed_decision(engine);
-  result.command = agreed;
-  log_.push_back(agreed);
-  const std::uint64_t apply_span =
-      sp_on ? make_span_id(span_kind::kApply,
-                           static_cast<std::uint64_t>(ordinal))
-            : 0;
-  if (sp_on) spans_->begin(apply_span, inst_span, span_kind::kApply);
-  result.applied.assign(static_cast<std::size_t>(cfg_.n), false);
-  for (ProcessId i = 0; i < cfg_.n; ++i) {
-    if (!engine.alive(i)) continue;  // crashed: replays when it recovers
-    // Log replay on recovery: a replica that missed decisions while
-    // crashed catches up on the whole suffix before the new command.
-    std::size_t& upto = applied_[static_cast<std::size_t>(i)];
-    while (upto < log_.size()) {
-      machines_[static_cast<std::size_t>(i)]->apply(log_[upto]);
-      ++upto;
-    }
-    result.applied[static_cast<std::size_t>(i)] = true;
-  }
-  if (sp_on) {
-    spans_->end(apply_span, span_kind::kApply);
-    spans_->end(inst_span, span_kind::kInstance);
-  }
-  ++instances_decided_;
-  return result;
+  return out;
 }
 
-bool SmrGroup::consistent() const {
+Replicas::Replicas(int n,
+                   std::vector<std::unique_ptr<StateMachine>> machines)
+    : machines_(std::move(machines)) {
+  TM_CHECK(static_cast<int>(machines_.size()) == n,
+           "one state machine per replica");
+  TM_CHECK(n > 1, "replication needs n > 1");
+  for (const auto& m : machines_) TM_CHECK(m != nullptr, "null machine");
+  applied_.assign(machines_.size(), 0);
+  last_applied_.assign(machines_.size(), true);
+}
+
+void Replicas::commit(const std::vector<Command>& cmds,
+                      const std::vector<bool>& appliers) {
+  log_.insert(log_.end(), cmds.begin(), cmds.end());
+  for (std::size_t i = 0; i < machines_.size(); ++i) {
+    if (!appliers[i]) continue;  // crashed: replays when it recovers
+    std::size_t& upto = applied_[i];
+    while (upto < log_.size()) machines_[i]->apply(log_[upto++]);
+  }
+  last_applied_ = appliers;
+  ++commits_;
+}
+
+bool Replicas::consistent() const {
   return consistent_among(std::vector<bool>(machines_.size(), true));
 }
 
-bool SmrGroup::consistent_among(const std::vector<bool>& include) const {
+bool Replicas::consistent_among(const std::vector<bool>& include) const {
   std::uint64_t reference = 0;
   bool have_reference = false;
   for (std::size_t i = 0; i < machines_.size(); ++i) {
@@ -152,6 +129,50 @@ bool SmrGroup::consistent_among(const std::vector<bool>& include) const {
     }
   }
   return true;
+}
+
+SmrGroup::SmrGroup(SmrGroupConfig cfg,
+                   std::vector<std::unique_ptr<StateMachine>> machines)
+    : Replicas(cfg.n, std::move(machines)), cfg_(cfg) {}
+
+SmrInstanceResult SmrGroup::run_instance(
+    const std::vector<Command>& proposals, TimelinessSampler& network,
+    const std::vector<Round>* crash_rounds, int max_rounds) {
+  static const std::vector<Round> kNoCrashes;
+  const int ordinal = instances_run_++;
+  const SmrEngine inst = make_smr_engine(
+      cfg_, proposals, crash_rounds != nullptr ? *crash_rounds : kNoCrashes,
+      spans_, ordinal, 0);
+  RoundEngine& engine = *inst.engine;
+  const Round decided = engine.run(
+      network, max_rounds < 0 ? cfg_.max_rounds_per_instance : max_rounds);
+
+  SmrInstanceResult result;
+  result.rounds = engine.current_round();
+  if (decided < 0) {
+    if (inst.span != 0) spans_->end(inst.span, span_kind::kInstance);
+    return result;  // nothing applied anywhere
+  }
+
+  result.decided = true;
+  result.command = smr_agreed_decision(engine);
+  const std::uint64_t apply_span =
+      inst.span != 0 ? make_span_id(span_kind::kApply,
+                                    static_cast<std::uint64_t>(ordinal))
+                     : 0;
+  if (apply_span != 0) {
+    spans_->begin(apply_span, inst.span, span_kind::kApply);
+  }
+  result.applied.assign(static_cast<std::size_t>(cfg_.n), false);
+  for (ProcessId i = 0; i < cfg_.n; ++i) {
+    result.applied[static_cast<std::size_t>(i)] = engine.alive(i);
+  }
+  commit({result.command}, result.applied);
+  if (apply_span != 0) {
+    spans_->end(apply_span, span_kind::kApply);
+    spans_->end(inst.span, span_kind::kInstance);
+  }
+  return result;
 }
 
 SmrNode::SmrNode(SmrNodeConfig cfg, Transport& transport,

@@ -2,14 +2,20 @@
 // of consensus instances, one per log slot, each deciding the command
 // that every replica then applies.
 //
-// Two drivers:
-//  * SmrGroup - deterministic, engine-based (lock-step rounds over a
-//    TimelinessSampler): the form used by tests and simulation studies;
-//  * SmrNode - deployment-shaped (one object per node over a Transport,
-//    using the Section 5.1 round synchronization): the form used by the
-//    examples and the UDP integration tests. Successive instances use
-//    disjoint wire round ranges so packets of instance k can never
-//    confuse instance k+1.
+// The engine-based drivers share one replica core, declared first below:
+// the Replicas state (machines, decided log, per-replica applied prefix
+// with log replay on recovery, fingerprint consistency), the
+// SmrEngineConfig fields and make_smr_engine, which builds every
+// instance's RoundEngine. Two drive loops sit on that core:
+//  * SmrGroup - one instance at a time, run to completion (lock-step
+//    rounds over a TimelinessSampler): the form used by tests, the
+//    serialized client harness and the simulation studies;
+//  * ReplicatedLog (smr/replicated_log.hpp) - pipelined and batched.
+// SmrNode is deployment-shaped instead (one object per node over a
+// Transport, using the Section 5.1 round synchronization): the form used
+// by the examples and the UDP integration tests. Successive instances use
+// disjoint wire round ranges so packets of instance k can never confuse
+// instance k+1.
 //
 // The paper's stable-leader observation is what makes this practical:
 // "the same leader may persist for numerous instances of consensus
@@ -54,16 +60,91 @@ Value smr_agreed_decision(const RoundEngine& engine);
 /// no-overlap invariant.
 Round smr_first_round(int inst, Round instance_round_stride);
 
-// ---------------------------------------------------------------------
-// Deterministic, engine-based replication.
-
-struct SmrGroupConfig {
+/// What both engine-based drivers (SmrGroup, ReplicatedLog) read to
+/// build one consensus instance.
+struct SmrEngineConfig {
   int n = 5;
   AlgorithmKind algorithm = AlgorithmKind::kWlm;
   ProcessId leader = 0;       ///< designated leader (ignored with election)
   bool use_election = false;  ///< wrap protocols in OmegaElection
   int max_rounds_per_instance = 500;
 };
+
+/// Network environment for one consensus instance (a serialized instance
+/// or one attempt of a pipelined slot). The caller decides what the
+/// network does, which keeps the drivers free of any fault/model
+/// dependency.
+struct InstanceEnv {
+  std::unique_ptr<TimelinessSampler> sampler;
+  std::vector<Round> crash_rounds;  ///< empty = no crashes
+  int max_rounds = -1;              ///< -1 = the config default
+};
+
+/// One SMR consensus instance, ready to step.
+struct SmrEngine {
+  std::unique_ptr<RoundEngine> engine;
+  std::uint64_t span = 0;  ///< its `instance` span (0 = tracing off)
+};
+
+/// Builds the engine for one instance: replica i proposes proposals[i]
+/// under cfg.algorithm, with a DesignatedOracle naming cfg.leader unless
+/// cfg.use_election, and crashes at crash_rounds[i] when that is > 0
+/// (empty = no crashes). With an enabled tracer the instance opens an
+/// `instance` span keyed by `ordinal` under `parent_span`, and the
+/// engine's `round` spans hang beneath it.
+SmrEngine make_smr_engine(const SmrEngineConfig& cfg,
+                          const std::vector<Command>& proposals,
+                          const std::vector<Round>& crash_rounds,
+                          SpanTracer* spans, int ordinal,
+                          std::uint64_t parent_span);
+
+/// The replicated state under both engine-based drivers: one state
+/// machine per replica, the decided command log, and the log prefix each
+/// replica has applied.
+class Replicas {
+ public:
+  /// One state machine per replica (machines.size() == n, n > 1).
+  Replicas(int n, std::vector<std::unique_ptr<StateMachine>> machines);
+
+  /// The decided command log, in commit order.
+  const std::vector<Command>& log() const noexcept { return log_; }
+  /// Commits so far (decided instances or committed slots).
+  int commits() const noexcept { return commits_; }
+  const StateMachine& machine(ProcessId i) const { return *machines_[i]; }
+
+  /// True iff all replicas' fingerprints agree. A replica that was
+  /// crashed at the last commit is legitimately BEHIND, not divergent —
+  /// use consistent_among(alive_at_end()) for runs that end with crashed
+  /// replicas.
+  bool consistent() const;
+  /// Consistency restricted to a subset (e.g. the survivors of a crash).
+  bool consistent_among(const std::vector<bool>& include) const;
+  /// Which replicas applied the full log at the last commit (all true
+  /// before anything committed).
+  const std::vector<bool>& alive_at_end() const noexcept {
+    return last_applied_;
+  }
+
+ protected:
+  /// Append `cmds` to the log; every replica in `appliers` then applies
+  /// the whole suffix it has not applied yet, so a replica that missed
+  /// commits while crashed replays them before the new commands (log
+  /// replay on recovery).
+  void commit(const std::vector<Command>& cmds,
+              const std::vector<bool>& appliers);
+
+ private:
+  std::vector<std::unique_ptr<StateMachine>> machines_;
+  std::vector<Command> log_;
+  std::vector<std::size_t> applied_;  ///< per replica: log prefix applied
+  std::vector<bool> last_applied_;    ///< appliers of the last commit
+  int commits_ = 0;
+};
+
+// ---------------------------------------------------------------------
+// Serialized, engine-based replication.
+
+using SmrGroupConfig = SmrEngineConfig;
 
 struct SmrInstanceResult {
   bool decided = false;
@@ -75,7 +156,7 @@ struct SmrInstanceResult {
   std::vector<bool> applied;
 };
 
-class SmrGroup {
+class SmrGroup : public Replicas {
  public:
   /// One state machine per replica (machines.size() == cfg.n).
   SmrGroup(SmrGroupConfig cfg,
@@ -98,11 +179,7 @@ class SmrGroup {
                                      nullptr,
                                  int max_rounds = -1);
 
-  /// The decided command log (one entry per decided instance, in order).
-  const std::vector<Command>& log() const noexcept { return log_; }
-
-  int instances_decided() const noexcept { return instances_decided_; }
-  const StateMachine& machine(ProcessId i) const { return *machines_[i]; }
+  int instances_decided() const noexcept { return commits(); }
 
   /// Install a span tracer (null disables). Each run_instance call becomes
   /// an `instance` span (keyed by a monotone per-group ordinal) with the
@@ -110,17 +187,8 @@ class SmrGroup {
   /// log-application loop.
   void set_span_tracer(SpanTracer* spans) noexcept { spans_ = spans; }
 
-  /// True iff all replicas' fingerprints agree.
-  bool consistent() const;
-  /// Consistency restricted to a subset (e.g. the survivors of a crash).
-  bool consistent_among(const std::vector<bool>& include) const;
-
  private:
   SmrGroupConfig cfg_;
-  std::vector<std::unique_ptr<StateMachine>> machines_;
-  std::vector<Command> log_;          ///< decided commands, in order
-  std::vector<std::size_t> applied_;  ///< per replica: log prefix applied
-  int instances_decided_ = 0;
   SpanTracer* spans_ = nullptr;
   int instances_run_ = 0;  ///< span ordinal (counts undecided runs too)
 };

@@ -272,8 +272,11 @@ TEST_F(LanCalibration, AverageLeaderNeedsBiggerTimeouts) {
   avg.rounds_per_run = 300;
   avg.seed = 7;
   avg.leader = pick_average_leader(expected_rtt_matrix(avg));
-  ASSERT_NE(avg.leader, resolve_leader(ExperimentConfig{
-                            Testbed::kLan, {0.1}, 1, 10, 1, 7}));
+  // The LAN's default leader: resolve_leader reads only the testbed
+  // (its profile) and the unset leader.
+  ExperimentConfig lan_default;
+  lan_default.testbed = Testbed::kLan;
+  ASSERT_NE(avg.leader, resolve_leader(lan_default));
   const auto avg_rs = run_experiment(avg);
 
   auto first_reaching = [](const std::vector<TimeoutResult>& rs,

@@ -163,6 +163,31 @@ TEST(FaultPlan, MinProcessesAndTimeline) {
   EXPECT_NE(tl.find("rounds 2..2"), std::string::npos) << tl;
 }
 
+TEST(FaultPlan, CrashRoundsFollowEachProcessLastCrashOrRecover) {
+  const auto event = [](FaultKind kind, ProcessId p, Round r) {
+    FaultEvent e;
+    e.kind = kind;
+    e.proc = p;
+    e.from = r;
+    return e;
+  };
+  FaultPlan plan;
+  plan.events = {
+      event(FaultKind::kCrash, 0, 2),   event(FaultKind::kRecover, 0, 4),
+      event(FaultKind::kCrash, 0, 6),   // crash, recover, crash again
+      event(FaultKind::kRecover, 1, 3), // never crashed
+      event(FaultKind::kCrash, 2, 5),   // permanent
+      event(FaultKind::kCrash, 3, 2),   event(FaultKind::kRecover, 3, 7),
+  };
+  EXPECT_EQ(plan.crash_rounds(5), (std::vector<Round>{6, 0, 5, 0, 0}));
+
+  const ParseResult no_crash =
+      parse_fault_plan("drop 0->1 @2..4 p=1; partition 0|1,2 @3..5; gsr @6");
+  ASSERT_TRUE(no_crash.ok()) << no_crash.error;
+  EXPECT_EQ(no_crash.plan.crash_rounds(3), (std::vector<Round>(3, 0)));
+  EXPECT_EQ(FaultPlan{}.crash_rounds(2), (std::vector<Round>(2, 0)));
+}
+
 // ---------------------------------------------------------------------------
 // Sim-path injector semantics
 // ---------------------------------------------------------------------------

@@ -271,6 +271,7 @@ TEST(SmrGroup, SurvivesMinorityCrashes) {
   // Survivors p0..p2 applied everything and agree.
   std::vector<bool> survivors{true, true, true, false, false};
   EXPECT_TRUE(group.consistent_among(survivors));
+  EXPECT_EQ(group.alive_at_end(), survivors);
   const auto& kv = static_cast<const KvStateMachine&>(group.machine(0));
   EXPECT_EQ(kv.applied(), 6);
   // The crashed replicas are BEHIND (shorter logs), not divergent: their

@@ -1,13 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: predicate
-// evaluation, schedule sampling, the GIRAF engine, protocol compute
-// functions, and the wire codec.
+// evaluation, schedule sampling, the Figure 1 timeout sweep, the GIRAF
+// engine, protocol compute functions, and the wire codec.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "consensus/factory.hpp"
 #include "consensus/wlm.hpp"
 #include "giraf/engine.hpp"
+#include "harness/measurement.hpp"
 #include "net/transport.hpp"
 #include "models/predicates.hpp"
 #include "models/schedule.hpp"
@@ -71,6 +73,29 @@ void BM_WanSampleRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_WanSampleRound);
+
+void BM_WanSweepRound(benchmark::State& state) {
+  // One fig1g-shaped run (300 WAN rounds, 15 start points) swept over the
+  // first Arg timeouts of the fig1g list. The Arg(12) minus Arg(1) cost
+  // per round is what each extra timeout adds; items are
+  // rounds x timeouts.
+  const std::vector<double> all{140, 150, 160, 170, 180, 190,
+                                200, 210, 230, 260, 300, 350};
+  const std::vector<double> timeouts(
+      all.begin(), all.begin() + static_cast<std::ptrdiff_t>(state.range(0)));
+  const int rounds = 300;
+  std::uint64_t run = 0;
+  for (auto _ : state) {
+    WanLatencyModel model(WanProfile{}, substream_seed(42, run));
+    Rng start_rng = substream(42 ^ 0xabcdef, run++);
+    benchmark::DoNotOptimize(measure_run_sweep(
+        model, timeouts, rounds, WanLatencyModel::kUk, {3, 3, 4, 5}, 15,
+        start_rng));
+  }
+  state.SetItemsProcessed(state.iterations() * rounds *
+                          static_cast<std::int64_t>(timeouts.size()));
+}
+BENCHMARK(BM_WanSweepRound)->Arg(1)->Arg(12);
 
 void BM_ScheduleSampleRound(benchmark::State& state) {
   ScheduleConfig cfg;

@@ -19,10 +19,17 @@
 //
 // Execution: each run is one independent trial fanned out over the
 // shared thread pool (common/parallel.hpp, TIMING_THREADS env). A trial
-// draws the run's latency stream and start points once and classifies
-// every round against all the sweep's timeouts (measure_run_sweep), so
-// the per-timeout results of a run are exactly what a separate sampler
-// per timeout on the same sub-streams would give. Trial randomness is a
+// draws the run's latency stream and start points once and prices every
+// round against all the sweep's timeouts at once (measure_run_sweep):
+// each cell gets one rank per round, the first sorted timeout it meets,
+// so the timely plane only grows along the sorted timeouts, and each
+// model's verdict is a step function of the timeout that the packed
+// kernel finds by bisection, evaluating only where the verdict steps.
+// That contract rests on two monotonicity tests,
+// PredicateKernel.MakingALinkTimelyNeverClearsAModel and
+// GranularKernel.MakingALinkTimelyNeverClearsASatOrCsatBit. The
+// per-timeout results of a run are exactly what a separate sampler per
+// timeout on the same sub-streams would give. Trial randomness is a
 // pure function of (cfg.seed, run index), and the per-timeout statistics
 // are folded in run order on the calling thread, so results are
 // bit-identical for every thread count — TIMING_THREADS=1 reproduces the

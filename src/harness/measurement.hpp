@@ -121,32 +121,54 @@ DecisionStats decision_stats(const std::vector<std::uint8_t>& sat, int needed,
 /// averages in the original draw order, so the statistics are
 /// bit-identical to the vector-based path while the run itself stores
 /// nothing per round.
+///
+/// One tracker carries `lanes` bit streams over the same start points (a
+/// timeout sweep keeps one lane per timeout, in ascending timeout order).
+/// Each round feeds every lane at once as a step function: lanes at or
+/// above `first` are satisfied, those below are not. Each lane has its
+/// own streak and resolutions, and is exactly a one-lane tracker fed that
+/// lane's bits; the start points and their sorted order are stored once.
 class ConsecutiveWindowTracker {
  public:
   /// `starts` in draw order (0-based round indices).
   ConsecutiveWindowTracker(int needed, std::vector<int> starts,
-                           int total_rounds);
+                           int total_rounds, int lanes = 1);
 
-  /// Feed round (#prior calls, 0-based).
-  void observe(bool satisfied) noexcept;
+  int lanes() const noexcept { return static_cast<int>(lanes_.size()); }
 
-  /// Satisfied rounds seen so far (P_M numerator).
-  long long satisfied_rounds() const noexcept { return sat_rounds_; }
+  /// Feed round (#prior calls, 0-based): lane j is satisfied iff
+  /// j >= first (first may be anything from 0 to lanes()).
+  void observe_from(int first) noexcept;
+  /// The one-lane form.
+  void observe(bool satisfied) noexcept { observe_from(satisfied ? 0 : 1); }
 
-  /// Mean/censored over the start points; unresolved points report the
-  /// remaining run length (censored), like rounds_until_conditions.
-  DecisionStats finalize() const;
+  /// Satisfied rounds `lane` has seen so far (P_M numerator).
+  long long satisfied_rounds(int lane = 0) const noexcept;
+
+  /// Mean/censored over the start points for `lane`; unresolved points
+  /// report the remaining run length (censored), like
+  /// rounds_until_conditions.
+  DecisionStats finalize(int lane = 0) const;
 
  private:
+  struct Lane {
+    int streak_start = 0;  ///< first round of the current satisfied streak
+    int pending = 0;       ///< starts_ at `next`; INT_MAX once all resolved
+    std::size_t next = 0;  ///< first unresolved entry of by_start_
+  };
+
   int needed_;
   int total_;
   int round_ = 0;
-  int streak_ = 0;
-  long long sat_rounds_ = 0;
   std::vector<int> starts_;            ///< draw order
   std::vector<std::size_t> by_start_;  ///< indices of starts_, ascending
-  std::size_t next_ = 0;               ///< first unresolved entry of by_start_
-  std::vector<double> rounds_;         ///< per draw-order index; -1 pending
+  std::vector<Lane> lanes_;
+  /// Rounds fed with each `first` (clamped to [0, lanes()]): lane j has
+  /// been satisfied in the rounds counted at or below j.
+  std::vector<long long> first_count_;
+  /// Per lane, then per draw-order index: rounds until the window; -1
+  /// while pending.
+  std::vector<double> rounds_;
 };
 
 /// One streamed measurement run: per-model P_M incidence and the mean
@@ -202,17 +224,32 @@ GranularStreamedRun measure_run_streaming_granular(
 /// draws and the same start points. Each round draws the model's
 /// latencies once (begin_round, then sample_ms for every off-diagonal
 /// cell in (dst, src) order: LatencyTimelinessSampler's RNG consumption)
-/// and classifies the buffer against each timeout with classify_latency,
-/// then evaluates the packed predicates: the homogeneous ones, or the
-/// granular ones when `g` is set. The start points are drawn once, in
-/// measure_run_streaming's order, and shared by every timeout.
+/// and prices every cell once against the whole sweep. The start points
+/// are drawn once, in measure_run_streaming's order, and shared by every
+/// timeout.
+///
+/// The rank/step-function contract. With the timeouts stably sorted
+/// t_0 <= ... <= t_{T-1}, a cell's rank is the first j with ms <= t_j (T
+/// for a latency that is timely under none, NaN and infinity included),
+/// so the cell is timely exactly under t_j for j >= rank, and
+/// classify_latency's lost verdict holds on a prefix of the j < rank
+/// (floor(ms / t) only falls as t grows). The timely plane of t_j is the
+/// plane of t_{j-1} plus the cells of rank j, and the fate counts follow
+/// from the rank and lost-prefix histograms. Because a plane only gains
+/// timely links as j grows, each predicate bit, and each granular
+/// per-class bit, is a step function of j: once set it stays set
+/// (PredicateKernel.MakingALinkTimelyNeverClearsAModel and
+/// GranularKernel.MakingALinkTimelyNeverClearsASatOrCsatBit pin this). So
+/// the packed kernel (homogeneous, or granular when `g` is set) runs at
+/// both ends of the sorted range and, by bisection, only where the
+/// verdicts at the ends of a span differ; equal ends fill the span.
 ///
 /// Entry i equals, field for field and bit for bit, what
 /// measure_run_streaming (g null; class_pm stays zero) or
 /// measure_run_streaming_granular returns for a LatencyTimelinessSampler
 /// over a fresh model on the same sub-stream with timeout timeouts_ms[i]
-/// and a fresh copy of `start_rng` (tests/harness_test.cpp pins this).
-/// Timeouts may come in any order and repeat.
+/// and a fresh copy of `start_rng` (tests/harness_test.cpp pins this, also
+/// over generated sweeps). Timeouts may come in any order and repeat.
 std::vector<GranularStreamedRun> measure_run_sweep(
     LatencyModel& model, const std::vector<double>& timeouts_ms, int rounds,
     ProcessId leader, const std::array<int, kNumModels>& needed,

@@ -19,8 +19,9 @@
 //
 // The Figure 1 timeout sweeps do not go through LatencyTimelinessSampler:
 // harness/measurement.hpp's measure_run_sweep draws each round's
-// latencies once and classifies them against every timeout with
-// classify_latency below, the same function the sampler uses.
+// latencies once and ranks them against the sorted timeouts with
+// classify_latency's rules below (timely iff ms <= timeout; its exact
+// lost test for the cells that can be lost).
 //
 // TimelinessSampler's third virtual (below) and FusedRoundEval have no
 // caller in src/ and no override here; see the note on the virtual.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -220,6 +221,47 @@ TEST(Streaming, WindowTrackerMatchesDecisionStatsBitForBit) {
     EXPECT_EQ(got.censored_fraction, want.censored_fraction);
     EXPECT_EQ(tracker.satisfied_rounds(), sat_count);
   }
+
+  // The batched form: `lanes` lanes over one start draw, fed a step
+  // function per round (lane j satisfied iff j >= first, first anywhere in
+  // [0, lanes]). Each lane must match decision_stats over its own bits.
+  for (int rep = 0; rep < 20; ++rep) {
+    const int lanes = 1 + rep % 6;
+    const int len = 40 + static_cast<int>(bits_rng.uniform_int(80));
+    const int needed = 1 + static_cast<int>(bits_rng.uniform_int(5));
+    std::vector<int> first(static_cast<std::size_t>(len));
+    for (auto& f : first) {
+      f = static_cast<int>(
+          bits_rng.uniform_int(static_cast<std::uint64_t>(lanes) + 1));
+    }
+    const int start_points = 15;
+    std::vector<int> starts(static_cast<std::size_t>(start_points));
+    Rng rng_stream = substream(98, static_cast<std::uint64_t>(rep));
+    for (auto& s : starts) {
+      s = static_cast<int>(rng_stream.uniform_int(
+          static_cast<std::uint64_t>(std::max(1, len / 2))));
+    }
+    ConsecutiveWindowTracker tracker(needed, std::move(starts), len, lanes);
+    ASSERT_EQ(tracker.lanes(), lanes);
+    for (const int f : first) tracker.observe_from(f);
+    for (int lane = 0; lane < lanes; ++lane) {
+      SCOPED_TRACE(::testing::Message() << "rep=" << rep << " lane=" << lane);
+      std::vector<std::uint8_t> sat(static_cast<std::size_t>(len));
+      long long sat_count = 0;
+      for (int i = 0; i < len; ++i) {
+        sat[static_cast<std::size_t>(i)] =
+            lane >= first[static_cast<std::size_t>(i)] ? 1 : 0;
+        sat_count += sat[static_cast<std::size_t>(i)];
+      }
+      Rng rng_vec = substream(98, static_cast<std::uint64_t>(rep));
+      const DecisionStats want =
+          decision_stats(sat, needed, start_points, rng_vec);
+      const DecisionStats got = tracker.finalize(lane);
+      EXPECT_EQ(got.mean_rounds, want.mean_rounds);
+      EXPECT_EQ(got.censored_fraction, want.censored_fraction);
+      EXPECT_EQ(tracker.satisfied_rounds(lane), sat_count);
+    }
+  }
 }
 
 TEST(Streaming, MeasureRunStreamingMatchesVectorPipeline) {
@@ -318,9 +360,12 @@ class GridLatencyModel final : public LatencyModel {
   Round round_ = 0;
 };
 
-constexpr int kSweepRounds = 90;
-constexpr int kSweepStartPoints = 7;
-constexpr std::array<int, kNumModels> kSweepNeeded{3, 3, 4, 5};
+/// Run length, start points and decision windows of a tested sweep.
+struct SweepShape {
+  int rounds = 90;
+  int start_points = 7;
+  std::array<int, kNumModels> needed{3, 3, 4, 5};
+};
 
 /// The oracle of measure_run_sweep: one streamed run per timeout, each
 /// over a fresh LatencyTimelinessSampler on a fresh model and a fresh
@@ -328,7 +373,8 @@ constexpr std::array<int, kNumModels> kSweepNeeded{3, 3, 4, 5};
 std::vector<GranularStreamedRun> streamed_per_timeout(
     const std::function<std::unique_ptr<LatencyModel>()>& make_model,
     const std::vector<double>& timeouts_ms, ProcessId leader,
-    const GranularContext* g, std::uint64_t run) {
+    const GranularContext* g, std::uint64_t run,
+    const SweepShape& shape = {}) {
   std::vector<GranularStreamedRun> out;
   for (const double t : timeouts_ms) {
     auto model = make_model();
@@ -336,12 +382,12 @@ std::vector<GranularStreamedRun> streamed_per_timeout(
     Rng start_rng = substream(23, run);
     GranularStreamedRun want;
     if (g != nullptr) {
-      want = measure_run_streaming_granular(sampler, kSweepRounds, leader,
-                                            kSweepNeeded, kSweepStartPoints,
+      want = measure_run_streaming_granular(sampler, shape.rounds, leader,
+                                            shape.needed, shape.start_points,
                                             start_rng, *g);
     } else {
-      want.base = measure_run_streaming(sampler, kSweepRounds, leader,
-                                        kSweepNeeded, kSweepStartPoints,
+      want.base = measure_run_streaming(sampler, shape.rounds, leader,
+                                        shape.needed, shape.start_points,
                                         start_rng);
     }
     out.push_back(want);
@@ -352,15 +398,17 @@ std::vector<GranularStreamedRun> streamed_per_timeout(
 std::vector<GranularStreamedRun> swept(
     const std::function<std::unique_ptr<LatencyModel>()>& make_model,
     const std::vector<double>& timeouts_ms, ProcessId leader,
-    const GranularContext* g, std::uint64_t run) {
+    const GranularContext* g, std::uint64_t run,
+    const SweepShape& shape = {}) {
   auto model = make_model();
   Rng start_rng = substream(23, run);
-  auto out = measure_run_sweep(*model, timeouts_ms, kSweepRounds, leader,
-                               kSweepNeeded, kSweepStartPoints, start_rng, g);
+  auto out =
+      measure_run_sweep(*model, timeouts_ms, shape.rounds, leader,
+                        shape.needed, shape.start_points, start_rng, g);
   // The start points are drawn once, not once per timeout.
   Rng once = substream(23, run);
-  for (int i = 0; i < kNumModels * kSweepStartPoints; ++i) {
-    (void)once.uniform_int(kSweepRounds / 2);
+  for (int i = 0; i < kNumModels * shape.start_points; ++i) {
+    (void)once.uniform_int(static_cast<std::uint64_t>(shape.rounds / 2));
   }
   EXPECT_EQ(start_rng.next(), once.next());
   return out;
@@ -438,6 +486,109 @@ TEST(Experiments, SweepClassifiesBoundaryLatenciesLikeTheSampler) {
   }
   EXPECT_GT(got[0].base.messages_timely, 0);
   EXPECT_GT(got[0].base.messages_late, 0);
+}
+
+/// Latencies from a seeded stream, built to hit every branch of the
+/// sweep's rank and lost-prefix logic: finite values around the timeouts,
+/// values exactly on a timeout, values 64 and 65 timeouts out (the edge of
+/// "lost"), far beyond 64 rounds of any timeout, and infinite or NaN ones.
+class GeneratedLatencyModel final : public LatencyModel {
+ public:
+  GeneratedLatencyModel(int n, std::uint64_t seed,
+                        std::vector<double> timeouts_ms)
+      : n_(n), rng_(seed), timeouts_(std::move(timeouts_ms)) {
+    for (const double t : timeouts_) max_t_ = std::max(max_t_, t);
+  }
+
+  int n() const noexcept override { return n_; }
+  void begin_round(Round) override {}
+  double sample_ms(ProcessId, ProcessId) override {
+    const double t = timeouts_[static_cast<std::size_t>(
+        rng_.uniform_int(timeouts_.size()))];
+    const std::uint64_t kind = rng_.uniform_int(100);
+    if (kind < 3) return std::numeric_limits<double>::infinity();
+    if (kind < 5) return std::numeric_limits<double>::quiet_NaN();
+    if (kind < 15) return t;
+    if (kind < 18) return 64.0 * t;
+    if (kind < 21) return 65.0 * t;
+    if (kind < 24) return std::nextafter(65.0 * t, 0.0);
+    if (kind < 27) return max_t_ * (66.0 + rng_.uniform(0.0, 1000.0));
+    if (kind < 35) return t * rng_.uniform(1.0, 80.0);
+    return rng_.uniform(0.0, 1.5 * max_t_);
+  }
+
+ private:
+  int n_;
+  Rng rng_;
+  std::vector<double> timeouts_;
+  double max_t_ = 0.0;
+};
+
+TEST(Experiments, SweepMatchesOracleOnGeneratedSweeps) {
+  // measure_run_sweep against streamed_per_timeout over generated cases:
+  // group sizes on both sides of the 64-bit row word, 1-16 timeouts in
+  // any order with duplicates (some tiny, so late cells turn lost), and
+  // the homogeneous or the granular predicates over a random link-model
+  // matrix. Every field must agree bit for bit.
+  constexpr std::array<int, 5> kSizes{3, 8, 64, 65, 130};
+  Rng gen(0x5eed5eedULL);
+  int cases = 0;
+  for (int rep = 0; rep < 250; ++rep) {
+    const int n = kSizes[static_cast<std::size_t>(rep) % kSizes.size()];
+    // Keep each case to a few million cell draws.
+    const int max_timeouts = n > 64 ? 6 : 16;
+    const int num_t =
+        1 + static_cast<int>(gen.uniform_int(
+                static_cast<std::uint64_t>(max_timeouts)));
+    std::vector<double> timeouts;
+    for (int i = 0; i < num_t; ++i) {
+      if (i > 0 && gen.bernoulli(0.2)) {
+        timeouts.push_back(timeouts[static_cast<std::size_t>(
+            gen.uniform_int(static_cast<std::uint64_t>(i)))]);
+      } else if (gen.bernoulli(0.15)) {
+        timeouts.push_back(gen.uniform(0.001, 0.05));
+      } else {
+        timeouts.push_back(gen.uniform(1.0, 400.0));
+      }
+    }
+    SweepShape shape;
+    shape.rounds = n > 64 ? 6 + static_cast<int>(gen.uniform_int(4))
+                          : 8 + static_cast<int>(gen.uniform_int(40));
+    shape.start_points = 1 + static_cast<int>(gen.uniform_int(9));
+    for (auto& w : shape.needed) {
+      w = 1 + static_cast<int>(gen.uniform_int(
+                  static_cast<std::uint64_t>(std::min(5, shape.rounds - 1))));
+    }
+    const auto leader = static_cast<ProcessId>(
+        gen.uniform_int(static_cast<std::uint64_t>(n)));
+    std::unique_ptr<GranularContext> g;
+    if (gen.bernoulli(0.5)) {
+      const double async_frac = gen.uniform();
+      g = std::make_unique<GranularContext>(LinkModelMatrix::mixed(
+          n, async_frac, gen.uniform() * (1.0 - async_frac), gen.next()));
+    }
+    const std::uint64_t model_seed = gen.next();
+    const auto run = static_cast<std::uint64_t>(rep);
+    const auto make = [&] {
+      return std::make_unique<GeneratedLatencyModel>(n, model_seed, timeouts);
+    };
+
+    SCOPED_TRACE(::testing::Message()
+                 << "rep " << rep << " n=" << n << " timeouts=" << num_t
+                 << " rounds=" << shape.rounds
+                 << (g ? " granular" : " homogeneous"));
+    const auto got = swept(make, timeouts, leader, g.get(), run, shape);
+    const auto want =
+        streamed_per_timeout(make, timeouts, leader, g.get(), run, shape);
+    ASSERT_EQ(got.size(), timeouts.size());
+    for (std::size_t ti = 0; ti < timeouts.size(); ++ti) {
+      SCOPED_TRACE(::testing::Message() << "timeout " << timeouts[ti]);
+      expect_same_run(got[ti], want[ti]);
+    }
+    if (::testing::Test::HasFailure()) break;
+    ++cases;
+  }
+  EXPECT_GE(cases, 200);
 }
 
 }  // namespace
